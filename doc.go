@@ -58,9 +58,9 @@
 // manager daemons behind the shared-clock Ticker interface, with
 // node-tagged trace events — and fleet.Fleet advances any number of Nodes
 // on one deterministic clock. Advancement is event-driven: a node that
-// provably has nothing to do (sim.Machine.InertUntil certifies every
-// per-tick phase a no-op) jumps its clock to its next event instead of
-// stepping, the fleet advances to the earliest wake time its scheduler
+// provably has nothing to do (sim.Machine.SteadyUntil certifies an idle
+// window, in which every per-tick phase is a no-op) jumps its clock to its
+// next event instead of stepping, the fleet advances to the earliest wake time its scheduler
 // hooks report (fleet.Sleeper), and node advancement can shard across
 // workers with a deterministic merge. The fast path is an execution
 // strategy, not a semantic change — traces and digests are bit-for-bit
@@ -202,21 +202,23 @@
 //     SetWakeVerify); node advancement between barriers runs on a
 //     persistent worker pool fed by a chunked cursor instead of spawning
 //     goroutines per barrier; and bit-identical idle nodes share one
-//     energy-replay computation per jump through a bit-exact-keyed cache
-//     (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
+//     energy-replay computation per idle window through a bit-exact-keyed
+//     cache (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the
 //     hars-bench -alloc-ceiling guard in CI.
-//   - Busy machines get the same treatment as idle ones: when a machine's
-//     runnable set, placement, per-thread speeds, and platform state
-//     provably cannot change — threads mid-unit, managers in-band, the
-//     governor between actuations — sim.Machine.SteadyUntil certifies the
-//     window and RunSteady executes it as a tight loop, accruing per-tick
-//     progress and the memoized energy additions in registers with the
-//     same IEEE operations in the same order as the general path, skipping
-//     the runnable scan, placer dispatch, daemon walk, and trace checks.
-//     Daemons opt in via sim.SteadyDaemon (core.Manager, mphars.Manager,
-//     and thermal.Governor do; anything else bounds or vetoes the window),
-//     placers via sim.SteadyPlacer. Unit completions, heartbeats, timer
+//   - Busy machines get the same treatment as idle ones, through the same
+//     certification and executor: when a machine's runnable set,
+//     placement, per-thread speeds, and platform state provably cannot
+//     change — threads mid-unit, managers in-band, the governor between
+//     actuations — sim.Machine.SteadyUntil certifies the window and
+//     RunSteady executes it as a tight loop, accruing per-tick progress
+//     and the memoized energy additions in registers with the same IEEE
+//     operations in the same order as the general path, skipping the
+//     runnable scan, placer dispatch, daemon walk, and trace checks; an
+//     idle window is the case with nothing runnable. Daemons opt in via
+//     sim.SteadyDaemon (core.Manager, mphars.Manager, and thermal.Governor
+//     do, and a declared Wake bounds the window; any other daemon vetoes
+//     it), placers via sim.SteadyPlacer. Unit completions, heartbeats, timer
 //     wakeups, and governor actuations always run through the general
 //     per-tick loop, which survives as the bit-exactness reference
 //     (sim.Machine.SetSteady, scenario Options.NoSteady, hars-scenario

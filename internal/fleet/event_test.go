@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -171,6 +172,58 @@ func TestEventCoreMatchesLockstepFleet(t *testing.T) {
 		if got != ref {
 			t.Fatalf("event core (workers=%d) diverged: %+v != %+v", w, got, ref)
 		}
+	}
+}
+
+// TestPoolResizeMatchesSequential pins the worker pool across width
+// changes: resizing between RunUntil calls (1→2→3→1) stops the old pool and
+// starts a new one mid-run, and the fleet must still land bit-for-bit where
+// a single-worker run lands — every node's energy bits, the overhead, the
+// heartbeats, and the clock.
+func TestPoolResizeMatchesSequential(t *testing.T) {
+	type outcome struct {
+		energy   [4]uint64
+		overhead sim.Time
+		beats    int64
+		now      sim.Time
+	}
+	run := func(widths []int) outcome {
+		plat := hmp.Default()
+		idle := &fleet.Node{Node: sim.NewNode(3, "idle", plat, sim.Config{Power: power.DefaultGroundTruth(plat)})}
+		nodes := []*fleet.Node{
+			newMPNode(0, "n0", hmp.Default()),
+			newMPNode(1, "n1", hmp.Default()),
+			newMPNode(2, "n2", tinyPlatform()),
+			idle,
+		}
+		f, err := fleet.New(nodes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := fleet.NewScheduler(f, &testHost{t: t}, fleet.Config{Policy: mustPolicy(t, fleet.PolicyLeastLoaded)})
+		for i, w := range widths {
+			f.SetWorkers(w)
+			s.Arrive(&fleet.App{Name: fmt.Sprintf("a%d", i)})
+			f.RunUntil(sim.Time(i+1) * 400 * sim.Millisecond)
+		}
+		var o outcome
+		for i, n := range nodes {
+			o.energy[i] = math.Float64bits(n.EnergyJ())
+		}
+		for _, app := range s.Apps() {
+			if app.Proc != nil {
+				o.beats += app.Proc.HB.Count()
+			}
+		}
+		o.overhead, o.now = f.Overhead(), f.Now()
+		return o
+	}
+	ref := run([]int{1, 1, 1, 1})
+	if ref.beats == 0 {
+		t.Fatal("fixture produced no heartbeats; the equivalence check is vacuous")
+	}
+	if got := run([]int{1, 2, 3, 1}); got != ref {
+		t.Fatalf("resized pool diverged: %+v != %+v", got, ref)
 	}
 }
 

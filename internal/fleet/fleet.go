@@ -19,9 +19,9 @@
 // tick in index order, then runs the fleet-wide hooks. RunUntil, however,
 // is discrete-event: it asks every hook implementing Sleeper for its next
 // wake time, takes the minimum as a barrier, advances each node to the
-// barrier independently (machines jump their own provably-inert stretches
-// via sim.Machine.InertUntil/FastForward, and node advancement can be
-// sharded across workers — see SetWorkers), and runs the hooks once at the
+// barrier independently (machines run their own certified windows via
+// sim.Machine.SteadyUntil/RunSteady, and node advancement can be sharded
+// across workers — see SetWorkers), and runs the hooks once at the
 // barrier. The skipped hook invocations are certified no-ops by the
 // Sleeper contract, so the walk visits exactly the states lockstep would:
 // every digest, counter, and trace byte is bit-for-bit identical. A hook
@@ -44,10 +44,10 @@
 // per barrier and records the first divergence — the equivalence suite
 // replays generated fault scenarios with it on. Node advancement between
 // barriers reuses a persistent worker pool (no per-barrier goroutine spawn)
-// fed by a chunked atomic counter, and machines route their inert jumps
-// through per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet
-// replays the energy accumulation of each distinct machine state once
-// instead of once per node.
+// fed by a chunked atomic counter, and machines route their idle windows'
+// energy replay through per-worker sim.JumpCaches, so a barrier over a
+// mostly-idle fleet replays the energy accumulation of each distinct
+// machine state once instead of once per node.
 //
 // # Determinism
 //
@@ -197,13 +197,13 @@ type HookFunc func(f *Fleet)
 func (fn HookFunc) Tick(f *Fleet) { fn(f) }
 
 // Sleeper is the opt-in contract that lets a Hook participate in
-// event-driven advancement (the fleet-level analogue of sim.Sleeper).
-// NextWake returns the earliest future clock time at which the hook's Tick
-// is anything but a no-op; a return at or before f.Now() means "run me
-// every tick". The contract mirrors sim.Sleeper exactly: skipped Tick
-// invocations strictly before the returned time must be pure no-ops, and
-// NextWake itself must not mutate anything. Hooks that do not implement
-// Sleeper force per-tick lockstep, which is always correct.
+// event-driven advancement (the fleet-level analogue of a SteadyDaemon's
+// Wake bound). NextWake returns the earliest future clock time at which the
+// hook's Tick is anything but a no-op; a return at or before f.Now() means
+// "run me every tick". The contract is strict: skipped Tick invocations
+// strictly before the returned time must be pure no-ops, and NextWake
+// itself must not mutate anything. Hooks that do not implement Sleeper
+// force per-tick lockstep, which is always correct.
 type Sleeper interface {
 	NextWake(f *Fleet) sim.Time
 }
@@ -211,7 +211,11 @@ type Sleeper interface {
 // Fleet advances a set of nodes on one deterministic clock: every Step
 // ticks each node once, in index order, then runs the fleet-wide hooks.
 // RunUntil additionally jumps stretches no hook or node cares about (see
-// the package comment).
+// the package comment). Each node traces to its own sim.Tracer, if any:
+// between barriers nodes advance one after another, or concurrently under
+// SetWorkers, so a tracer shared by two nodes would receive node-major
+// bytes and racing writes. New rejects a shared tracer; attaching one later
+// is a caller error.
 type Fleet struct {
 	nodes []*Node
 	tick  sim.Time
@@ -226,14 +230,8 @@ type Fleet struct {
 	lockstep bool
 	workers  int
 
-	// shared memoizes the sharedTracer verdict; tracer-attach listeners on
-	// every node invalidate it (sharedValid=false), so the per-barrier check
-	// is one bool read instead of an O(nodes) walk.
-	shared      bool
-	sharedValid bool
-
-	// jump is the inert-stretch replay memo for sequential and interleaved
-	// advancement; pool workers carry their own.
+	// jump is the idle-window replay memo for sequential advancement; pool
+	// workers carry their own.
 	jump *sim.JumpCache
 
 	pool *advancePool
@@ -241,14 +239,22 @@ type Fleet struct {
 
 // New builds a fleet over the given nodes. All nodes must share one tick
 // length and one current time (normally zero: assemble the fleet before
-// running anything), and node IDs must match their index.
+// running anything), node IDs must match their index, and no two nodes may
+// share a sim.Tracer (see Fleet).
 func New(nodes ...*Node) (*Fleet, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("fleet: no nodes")
 	}
 	tick := nodes[0].TickLen()
 	now := nodes[0].Now()
+	traced := make(map[*sim.Tracer]string)
 	for i, n := range nodes {
+		if tr := n.Tracer(); tr != nil {
+			if other, ok := traced[tr]; ok {
+				return nil, fmt.Errorf("fleet: nodes %q and %q share one tracer", other, n.Name)
+			}
+			traced[tr] = n.Name
+		}
 		if n.ID != i {
 			return nil, fmt.Errorf("fleet: node %q has ID %d at index %d", n.Name, n.ID, i)
 		}
@@ -261,12 +267,7 @@ func New(nodes ...*Node) (*Fleet, error) {
 				n.Name, n.Now(), nodes[0].Name, now)
 		}
 	}
-	f := &Fleet{nodes: nodes, tick: tick, allSleepers: true}
-	invalidate := func() { f.sharedValid = false }
-	for _, n := range nodes {
-		n.Machine.OnTracerChange(invalidate)
-	}
-	return f, nil
+	return &Fleet{nodes: nodes, tick: tick, allSleepers: true}, nil
 }
 
 // Nodes returns the fleet's nodes in index order.
@@ -298,11 +299,12 @@ func (f *Fleet) AddHook(h Hook) {
 // the equivalence suite that proves exactly that.
 func (f *Fleet) SetLockstep(on bool) { f.lockstep = on }
 
-// SetSteady toggles the steady-phase turbo path on every node's machine
-// (sim.Machine.SetSteady). On by default; the switch exists for the
-// equivalence suite that pins the turbo path against the general loop and
-// for benchmarking the general loop on busy fleets. Applies to the nodes
-// present now — add nodes before calling, or call again after.
+// SetSteady toggles the steady-phase turbo path for busy windows on every
+// node's machine (sim.Machine.SetSteady; idle windows stay on). On by
+// default; the switch exists for the equivalence suite that pins the turbo
+// path against the general loop and for benchmarking the general loop on
+// busy fleets. Applies to the nodes present now — add nodes before calling,
+// or call again after.
 func (f *Fleet) SetSteady(on bool) {
 	for _, n := range f.nodes {
 		n.Machine.SetSteady(on)
@@ -313,9 +315,8 @@ func (f *Fleet) SetSteady(on bool) {
 // persistent pool of w goroutines fed through a chunked work cursor. Nodes
 // evolve independently between barriers, so any width — including 1, the
 // default — produces identical results; the merge back to fleet order is
-// by node index. Ignored while a tracer is shared between nodes (byte
-// order across nodes must then follow the global tick order) and in
-// lockstep mode.
+// by node index. Workers advance nodes concurrently, which is safe only
+// under the one-tracer-per-node rule (see Fleet). Ignored in lockstep mode.
 func (f *Fleet) SetWorkers(w int) { f.workers = w }
 
 // Step advances every node by one tick (index order), then runs the hooks.
@@ -362,16 +363,10 @@ func (f *Fleet) RunUntil(t sim.Time) {
 }
 
 // advanceTo brings every node to the barrier. Nodes are independent between
-// hook barriers, so each machine can run ahead on its own (jumping its
-// inert stretches), sequentially or sharded across the persistent worker
-// pool — except when a tracer is shared between nodes: trace bytes must
-// then interleave in global tick order, so the fleet steps (and
-// collectively fast-forwards) all nodes together.
+// hook barriers, so each machine can run ahead on its own (through its
+// certified windows), sequentially or sharded across the persistent worker
+// pool.
 func (f *Fleet) advanceTo(to sim.Time) {
-	if f.sharedTracer() {
-		f.advanceInterleaved(to)
-		return
-	}
 	w := f.workers
 	if w > len(f.nodes) {
 		w = len(f.nodes)
@@ -388,11 +383,13 @@ func (f *Fleet) advanceTo(to sim.Time) {
 	if f.pool == nil || f.pool.width != w {
 		if f.pool != nil {
 			f.pool.stop()
+		} else {
+			// The workers reference only the pool, never the Fleet, so an
+			// abandoned fleet stays collectable; its finalizer releases
+			// whichever pool is current then.
+			runtime.SetFinalizer(f, func(f *Fleet) { f.pool.stop() })
 		}
 		f.pool = newAdvancePool(f.nodes, w)
-		// The workers reference only the pool, never the Fleet, so an
-		// abandoned fleet stays collectable; its finalizer releases them.
-		runtime.SetFinalizer(f, func(f *Fleet) { f.pool.stop() })
 	}
 	f.pool.advance(to)
 }
@@ -463,79 +460,6 @@ func (p *advancePool) advance(to sim.Time) {
 // stop releases the pool's goroutines. Idempotence is not needed: the fleet
 // replaces the pool pointer whenever it stops one.
 func (p *advancePool) stop() { close(p.work) }
-
-// advanceInterleaved advances all nodes to the barrier in global tick
-// order: one tick each in index order, with a collective jump whenever
-// every node is provably inert (the jump preserves byte order because an
-// inert machine emits nothing).
-func (f *Fleet) advanceInterleaved(to sim.Time) {
-	if f.jump == nil {
-		f.jump = sim.NewJumpCache()
-	}
-	for f.Now() < to {
-		min := to
-		for _, n := range f.nodes {
-			if u := n.InertUntil(to); u < min {
-				min = u
-			}
-		}
-		if min > f.Now() {
-			for _, n := range f.nodes {
-				n.FastForwardCached(min, f.jump)
-			}
-			continue
-		}
-		for _, n := range f.nodes {
-			n.Step()
-		}
-	}
-}
-
-// sharedTracer reports whether any sim.Tracer is attached to two or more
-// nodes. The verdict is memoized — every node's machine invalidates it
-// through its tracer-attach listener — so the per-barrier cost is one bool
-// read, not an O(nodes) walk.
-func (f *Fleet) sharedTracer() bool {
-	if !f.sharedValid {
-		f.shared = f.computeSharedTracer()
-		f.sharedValid = true
-	}
-	return f.shared
-}
-
-func (f *Fleet) computeSharedTracer() bool {
-	var seen *sim.Tracer
-	for _, n := range f.nodes {
-		tr := n.Tracer()
-		if tr == nil {
-			continue
-		}
-		if seen == tr {
-			return true
-		}
-		if seen != nil {
-			// Two distinct tracers so far; compare every pair the slow way.
-			return f.sharedTracerSlow()
-		}
-		seen = tr
-	}
-	return false
-}
-
-func (f *Fleet) sharedTracerSlow() bool {
-	seen := make(map[*sim.Tracer]bool, len(f.nodes))
-	for _, n := range f.nodes {
-		tr := n.Tracer()
-		if tr == nil {
-			continue
-		}
-		if seen[tr] {
-			return true
-		}
-		seen[tr] = true
-	}
-	return false
-}
 
 // EnergyJ returns the fleet-wide energy rollup: the sum over nodes.
 func (f *Fleet) EnergyJ() float64 {

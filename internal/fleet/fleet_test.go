@@ -506,6 +506,24 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsSharedTracer pins the one-tracer-per-node rule: nodes
+// advance independently (and concurrently under SetWorkers) between
+// barriers, so two nodes writing one tracer would interleave node-major
+// and race. Distinct tracers are fine.
+func TestFleetRejectsSharedTracer(t *testing.T) {
+	n0, n1 := newMPNode(0, "n0", hmp.Default()), newMPNode(1, "n1", hmp.Default())
+	tr := &sim.Tracer{}
+	n0.SetTracer(tr)
+	n1.SetTracer(tr)
+	if _, err := fleet.New(n0, n1); err == nil {
+		t.Fatal("shared tracer accepted")
+	}
+	n1.SetTracer(&sim.Tracer{})
+	if _, err := fleet.New(n0, n1); err != nil {
+		t.Fatalf("distinct tracers rejected: %v", err)
+	}
+}
+
 func mustPolicy(t *testing.T, name string) fleet.Policy {
 	t.Helper()
 	p, err := fleet.PolicyByName(name, sim.CheckpointCost{})

@@ -36,9 +36,9 @@ type Node struct {
 }
 
 // NewNode creates a named machine over its own platform description. Every
-// event the machine emits is stamped with the node name, so the
-// interleaved streams of a fleet — even through one shared Tracer — stay
-// attributable.
+// event the machine emits is stamped with the node name, so streams merged
+// after the fact — or nodes stepped by hand through one shared Tracer —
+// stay attributable. A fleet requires one tracer per node (see fleet.New).
 func NewNode(id int, name string, plat *hmp.Platform, cfg Config) *Node {
 	n := &Node{ID: id, Name: name, Machine: New(plat, cfg)}
 	n.Machine.nodeName = name

@@ -182,11 +182,8 @@ type Machine struct {
 
 	// failListeners fire on every Fail/Heal transition; event-driven
 	// schedulers keep their wake indexes current through them instead of
-	// rescanning every machine's failed state each barrier. tracerListeners
-	// fire on SetTracer; the fleet invalidates its shared-tracer memo
-	// through them.
-	failListeners   []func(failed bool)
-	tracerListeners []func()
+	// rescanning every machine's failed state each barrier.
+	failListeners []func(failed bool)
 
 	energyJ        float64
 	clusterEnergyJ [hmp.NumClusters]float64
@@ -678,26 +675,28 @@ func (m *Machine) reconcile() {
 func (m *Machine) Run(d Time) { m.RunUntil(m.now + d) }
 
 // RunUntil advances the simulation until the clock reaches t. Stretches
-// during which the machine is provably inert (see InertUntil) are jumped in
-// one FastForward instead of stepped tick by tick, and busy-but-steady
-// stretches (see SteadyUntil) run through RunSteady's tight loop; the
-// resulting state is bit-for-bit identical either way.
+// certified by SteadyUntil — busy-but-steady windows and, as their
+// degenerate case, idle ones — run through RunSteady instead of being
+// stepped tick by tick; the resulting state is bit-for-bit identical either
+// way.
 func (m *Machine) RunUntil(t Time) { m.runUntil(t, nil) }
 
-// RunUntilCached is RunUntil with inert jumps routed through a JumpCache
-// (see FastForwardCached): identical resulting state, shared replay work.
+// RunUntilCached is RunUntil with idle windows' energy replay routed
+// through a JumpCache: identical resulting state, shared replay work.
 func (m *Machine) RunUntilCached(t Time, jc *JumpCache) { m.runUntil(t, jc) }
 
 func (m *Machine) runUntil(t Time, jc *JumpCache) {
 	for m.now < t {
-		if until := m.InertUntil(t); until > m.now {
-			m.fastForward(until, jc)
-			continue
-		}
-		if !m.steadyOff {
+		if len(m.runnable) == 0 {
+			// Idle windows are tried every tick and taken at any length:
+			// certifying one is cheap, and SetSteady leaves them on.
+			if until := m.SteadyUntil(t); until > m.now && m.runSteady(until, jc) {
+				continue
+			}
+		} else if !m.steadyOff {
 			if m.steadySkip > 0 {
 				m.steadySkip--
-			} else if until := m.SteadyUntil(t); until >= m.now+steadyMinTicks*m.cfg.TickLen && m.RunSteady(until) {
+			} else if until := m.SteadyUntil(t); until >= m.now+steadyMinTicks*m.cfg.TickLen && m.runSteady(until, jc) {
 				continue
 			} else {
 				m.steadySkip = steadySkipTicks

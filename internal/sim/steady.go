@@ -2,16 +2,18 @@ package sim
 
 import "repro/internal/hmp"
 
-// Steady-phase advancement: the busy-machine counterpart of InertUntil/
-// FastForward. A machine whose runnable threads are all mid-unit — nothing
-// completes, nothing migrates, nothing actuates — repeats the same tick over
-// and over, differing only in the float accumulators. SteadyUntil certifies
-// a window in which that repetition is provable, and RunSteady executes it
-// as a tight loop: per-tick progress accrual and the memoized energy
-// additions in registers, the same IEEE operations in the same order as the
-// general path, skipping the runnable scan, placer dispatch, daemon walk,
-// and trace checks that are provably no-ops. Like FastForward, this is an
-// execution strategy, not a semantic change — every observable state is
+// Steady-window advancement: a machine whose runnable threads are all
+// mid-unit — nothing completes, nothing migrates, nothing actuates —
+// repeats the same tick over and over, differing only in the float
+// accumulators. SteadyUntil certifies a window in which that repetition is
+// provable, and RunSteady executes it as a tight loop: per-tick progress
+// accrual and the memoized energy additions in registers, the same IEEE
+// operations in the same order as the general path, skipping the runnable
+// scan, placer dispatch, daemon walk, and trace checks that are provably
+// no-ops. An idle machine is the degenerate case — a window whose runnable
+// set is empty — and when nothing charges and no daemon advances either,
+// RunSteady reduces the window to the energy replay (see event.go). This is
+// an execution strategy, not a semantic change — every observable state is
 // bit-for-bit what the equivalent sequence of Step calls would produce, and
 // the general per-tick loop survives as the reference the golden digests and
 // the steady-vs-general property suite pin it to.
@@ -33,39 +35,46 @@ type SteadyTicker interface {
 
 // SteadyEntry is a daemon's declaration of what its per-tick work amounts to
 // inside a steady window: a fixed overhead charge (Charge µs against
-// ChargeCPU per tick, exactly what its Tick would ChargeOverhead) and an
-// optional per-tick Ticker for internal state that must advance. A zero
-// Charge with a nil Ticker declares every in-window Tick a pure no-op.
+// ChargeCPU per tick, exactly what its Tick would ChargeOverhead), an
+// optional per-tick Ticker for internal state that must advance, and an
+// optional Wake bound: the first time at which Tick stops reducing to the
+// entry (zero means unbounded). A zero Charge with a nil Ticker declares
+// every in-window Tick before Wake a pure no-op.
 type SteadyEntry struct {
 	ChargeCPU int
 	Charge    Time
 	Ticker    SteadyTicker
+	Wake      Time
 }
 
 // SteadyDaemon is the opt-in contract that lets a Daemon participate in
-// steady-phase advancement, the busy-machine analogue of Sleeper. When
-// SteadyBegin returns ok, every Tick call during the window must reduce to
-// the declared entry: charge exactly (ChargeCPU, Charge) and otherwise
-// mutate nothing the machine or a later observer can see — no actuation
-// (DVFS, caps, hotplug, migration), no trace emission, no decision — with
-// internal state advanced solely through the entry's Ticker. SteadyBegin
-// itself must be pure; it is consulted once per window, so any condition it
-// certifies must be invariant while the runnable set, placement, platform
-// state, and heartbeat counts are frozen (which the machine-side
-// certification guarantees for the window). Returning !ok is always safe:
-// the machine falls back to the daemon's Sleeper contract, or to full
-// per-tick stepping.
+// window advancement. When SteadyBegin returns ok, every Tick call during
+// the window — which ends no later than the entry's Wake, when set — must
+// reduce to the declared entry: charge exactly (ChargeCPU, Charge) and
+// otherwise mutate nothing the machine or a later observer can see — no
+// actuation (DVFS, caps, hotplug, migration), no trace emission, no
+// decision, no internal phase advance — with internal state advanced solely
+// through the entry's Ticker. A Wake at or before m.Now() is invalid: a
+// daemon due now must decline. SteadyBegin itself must be pure; it is
+// consulted once per window, so any condition it certifies must be
+// invariant while the runnable set, placement, platform state, and
+// heartbeat counts are frozen (which the machine-side certification
+// guarantees for the window). Returning !ok is always safe: the machine
+// falls back to full per-tick stepping, as it does for a daemon that does
+// not implement the contract.
 type SteadyDaemon interface {
 	Daemon
 	SteadyBegin(m *Machine) (SteadyEntry, bool)
 }
 
-// SteadyPlacer is the busy-machine analogue of QuiescentPlacer: Settled
-// reports whether the next Place call is certain to be a pure no-op even
-// though threads are runnable — every thread in its mask and no balancing
-// move available — and will stay one while runnability, placement, affinity,
-// and the online mask are all frozen. Placers with per-call state (e.g.
-// gts.Scheduler) must not implement it.
+// SteadyPlacer is the opt-in contract that lets a Placer participate in
+// window advancement: Settled reports whether the next Place call is
+// certain to be a pure no-op — every runnable thread in its mask and no
+// balancing move available, vacuously so when nothing is runnable — and
+// will stay one while runnability, placement, affinity, and the online mask
+// are all frozen. Placers with per-call state (e.g. gts.Scheduler, whose
+// migration pass fires on a count of Place invocations) must not implement
+// it.
 type SteadyPlacer interface {
 	Placer
 	Settled(m *Machine) bool
@@ -109,19 +118,21 @@ type steadyPlan struct {
 	totalCharge Time
 }
 
-// SetSteady enables or disables steady-phase advancement for Run/RunUntil
-// (enabled by default). Results are bit-for-bit identical either way — the
-// switch mirrors fleet.SetLockstep: it exists for benchmarking and for the
-// equivalence suite that proves exactly that.
+// SetSteady enables or disables busy-window advancement for Run/RunUntil
+// (enabled by default): windows with runnable threads run through the
+// general Step instead; idle windows stay on. Results are bit-for-bit
+// identical either way — the switch mirrors fleet.SetLockstep: it exists
+// for benchmarking and for the equivalence suite that proves exactly that.
 func (m *Machine) SetSteady(on bool) { m.steadyOff = !on }
 
-// steadyMinTicks is the shortest certified window worth entering RunSteady
-// for — below it the certification scan costs more than the batched loop
-// saves. steadySkipTicks is the back-off runUntil arms after a failed or
-// too-short certification: churny phases (a pipeline blocking on I/O every
-// few ticks) would otherwise pay the full scan every tick for nothing. Both
-// only steer which advancement path runs; results are bit-identical either
-// way.
+// steadyMinTicks is the shortest certified busy window worth entering
+// RunSteady for — below it the certification scan costs more than the
+// batched loop saves. steadySkipTicks is the back-off runUntil arms after a
+// failed or too-short busy certification: churny phases (a pipeline
+// blocking on I/O every few ticks) would otherwise pay the full scan every
+// tick for nothing. Idle windows are cheap to certify and are tried every
+// tick at any length. Both only steer which advancement path runs; results
+// are bit-identical either way.
 const (
 	steadyMinTicks  = 4
 	steadySkipTicks = 4
@@ -150,15 +161,16 @@ func (m *Machine) primeSteady() {
 	}
 }
 
-// SteadyUntil certifies the longest window ≤ limit in which the machine is
-// busy but steady: the runnable set, per-thread speed factors, placement,
-// and online/cap state provably cannot change, so every tick repeats the
-// same work pattern. A return of m.Now() means no window could be certified
+// SteadyUntil certifies the longest window ≤ limit in which every tick
+// repeats the same work pattern: the runnable set, per-thread speed
+// factors, placement, and online/cap state provably cannot change. An idle
+// machine — nothing runnable, a failed machine included — is the
+// degenerate window. A return of m.Now() means no window could be certified
 // and the next tick must run through Step. The bound is conservative (every
-// "maybe" is a "no") and is the earliest of: the first pending timer wakeup,
-// each non-steady Sleeper daemon's NextWake, and the caller's limit.
-// In-window unit completions are not predicted here — RunSteady detects the
-// first completing tick exactly and stops before it.
+// "maybe" is a "no") and is the earliest of: the first pending timer
+// wakeup, each daemon's declared Wake, and the caller's limit. In-window
+// unit completions are not predicted here — RunSteady detects the first
+// completing tick exactly and stops before it.
 //
 // Certification requires, mirroring each per-tick phase of Step:
 //
@@ -169,25 +181,16 @@ func (m *Machine) primeSteady() {
 //     penalty), and every core's pending stolen overhead exactly equal to
 //     the per-tick charge the window's SteadyDaemons declare — so the
 //     steal/recharge cycle is a fixed point and capacity shares repeat;
-//   - integratePower: the memo warm and keyed exactly as integratePower
-//     keys it (levels, online counts, and the steady per-core tick
-//     utilisation, accumulated here in execute's order);
-//   - daemons: every daemon a SteadyDaemon whose SteadyBegin accepts, or a
-//     Sleeper whose future wake bounds the window.
+//   - integratePower (skipped on a failed machine, as integratePower skips
+//     it): the memo warm and keyed exactly as integratePower keys it
+//     (levels, online counts, and the steady per-core tick utilisation,
+//     accumulated here in execute's order);
+//   - daemons: every daemon a SteadyDaemon whose SteadyBegin accepts.
 //
 // A successful certification leaves the window plan in m; RunSteady
 // executes against it and must be the next advancement call.
-
 func (m *Machine) SteadyUntil(limit Time) Time {
-	if limit <= m.now || m.failed {
-		return m.now
-	}
-	if len(m.runnable) == 0 {
-		// An idle machine is InertUntil's domain; steady certification
-		// exists for machines with work in flight.
-		return m.now
-	}
-	if m.misplaced != 0 || len(m.journal) != 0 {
+	if limit <= m.now || m.misplaced != 0 || len(m.journal) != 0 {
 		return m.now
 	}
 	if m.placer != nil {
@@ -215,39 +218,39 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 	p.tickers = p.tickers[:0]
 	p.totalCharge = 0
 	for _, d := range m.daemons {
-		if sd, ok := d.(SteadyDaemon); ok {
-			if ent, ok := sd.SteadyBegin(m); ok {
-				if ent.Charge > 0 {
-					cpu := ent.ChargeCPU
-					if cpu < 0 || cpu >= len(m.cores) || !m.online.Has(cpu) {
-						cpu = m.firstOnline() // ChargeOverhead's fallback
-					}
-					if p.charges[cpu] == 0 {
-						p.chargedCPUs = append(p.chargedCPUs, cpu)
-					}
-					p.charges[cpu] += ent.Charge
-					p.totalCharge += ent.Charge
-				}
-				if ent.Ticker != nil {
-					p.tickers = append(p.tickers, ent.Ticker)
-				}
-				continue
-			}
-		}
-		s, ok := d.(Sleeper)
+		sd, ok := d.(SteadyDaemon)
 		if !ok {
 			return m.now
 		}
-		w := s.NextWake(m)
-		if w <= m.now {
+		ent, ok := sd.SteadyBegin(m)
+		if !ok {
 			return m.now
 		}
-		if w < until {
-			until = w
+		if ent.Wake != 0 {
+			if ent.Wake <= m.now {
+				return m.now
+			}
+			if ent.Wake < until {
+				until = ent.Wake
+			}
+		}
+		if ent.Charge > 0 {
+			cpu := ent.ChargeCPU
+			if cpu < 0 || cpu >= len(m.cores) || !m.online.Has(cpu) {
+				cpu = m.firstOnline() // ChargeOverhead's fallback
+			}
+			if p.charges[cpu] == 0 {
+				p.chargedCPUs = append(p.chargedCPUs, cpu)
+			}
+			p.charges[cpu] += ent.Charge
+			p.totalCharge += ent.Charge
+		}
+		if ent.Ticker != nil {
+			p.tickers = append(p.tickers, ent.Ticker)
 		}
 	}
 
-	powerOn := m.cfg.Power != nil
+	powerOn := m.cfg.Power != nil && !m.failed
 	if powerOn {
 		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 			if !m.powerValid[k] || m.levels[k] != m.lastLevel[k] {
@@ -263,12 +266,28 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 		}
 	}
 
-	var speedByCluster [hmp.NumClusters]float64
-	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		speedByCluster[k] = m.freqScale[k][m.levels[k]]
-	}
 	p.cores = p.cores[:0]
 	p.threads = p.threads[:0]
+	if len(m.runnable) == 0 && p.totalCharge == 0 {
+		// Idle and uncharged, the common case on a large fleet: no core
+		// steals or runs, so the plan stays empty and the memo key needs
+		// an all-zero tick utilisation.
+		for i := range m.cores {
+			if m.cores[i].stolen != 0 {
+				return m.now
+			}
+		}
+		if powerOn {
+			for k := range m.lastTickUse {
+				for _, tu := range m.lastTickUse[k] {
+					if tu != 0 {
+						return m.now
+					}
+				}
+			}
+		}
+		return until
+	}
 	for i := range m.cores {
 		c := &m.cores[i]
 		stealT := p.charges[i]
@@ -291,7 +310,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 			share := avail / float64(n)
 			sc.share = share
 			cluster := c.cluster
-			speedBase := speedByCluster[cluster]
+			speedBase := m.freqScale[cluster][m.levels[cluster]]
 			for _, id := range c.run {
 				t := m.threads[id]
 				if t.penalty != 0 || t.blocked {
@@ -339,12 +358,34 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 // The per-core tick utilisation and stolen balances are fixed points of the
 // certified pattern and are left untouched; lastRan stamps and the summed
 // overhead charge are applied once at the end (only their final values are
-// observable).
-func (m *Machine) RunSteady(until Time) bool {
+// observable). An empty plan — nothing runs, charges, or advances — reduces
+// each tick to the energy adds, replayed without the per-tick loop.
+func (m *Machine) RunSteady(until Time) bool { return m.runSteady(until, nil) }
+
+// runSteady is RunSteady with an empty plan's energy replay routed through
+// jc when non-nil: identical resulting state, shared replay work.
+func (m *Machine) runSteady(until Time, jc *JumpCache) bool {
 	p := &m.steady
 	start := m.now
 	tickLen := m.cfg.TickLen
-	powerOn := m.cfg.Power != nil
+	powerOn := m.cfg.Power != nil && !m.failed
+	if len(p.cores) == 0 && len(p.tickers) == 0 {
+		if until <= start {
+			return false
+		}
+		steps := int64((until - start + tickLen - 1) / tickLen) // ceil: RunUntil overshoots to the tick grid
+		if powerOn {
+			if jc != nil {
+				jc.apply(m, steps)
+			} else {
+				m.replayEnergy(steps)
+			}
+		}
+		m.execTick += steps
+		m.ticks += steps
+		m.now += Time(steps) * tickLen
+		return true
+	}
 	// Hoist the energy accumulators into registers for the window; nothing
 	// observes them mid-window.
 	e := m.lastE

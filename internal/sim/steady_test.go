@@ -25,24 +25,15 @@ func busySteady(t *testing.T, daemons ...sim.Daemon) *sim.Machine {
 	return m
 }
 
-// TestSteadyUntilGates pins the conditions under which no steady window
-// exists at all: idle machines belong to InertUntil, a cold power memo
-// declines, and a daemon outside both the SteadyDaemon and Sleeper
-// contracts pins the machine to per-tick stepping.
+// TestSteadyUntilGates pins the conditions under which no busy window
+// exists at all: a cold power memo declines, and a daemon outside the
+// SteadyDaemon contract pins the machine to per-tick stepping.
 func TestSteadyUntilGates(t *testing.T) {
 	plat := hmp.Default()
 
-	// Idle machine: steady certification is for machines with work in
-	// flight.
-	m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-	m.Step()
-	if u := m.SteadyUntil(m.Now() + sim.Second); u != m.Now() {
-		t.Fatalf("idle machine certified steady until %d", u)
-	}
-
 	// Busy but cold: the first tick after spawn must run through Step to
 	// warm the energy memo.
-	m = sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+	m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 	m.Spawn("s", &spinner{threads: 1, unit: 1e9}, 0)
 	if u := m.SteadyUntil(m.Now() + sim.Second); u != m.Now() {
 		t.Fatalf("cold busy machine certified steady until %d", u)
@@ -55,8 +46,7 @@ func TestSteadyUntilGates(t *testing.T) {
 		t.Fatalf("warm busy machine certified until %d, want %d", u, limit)
 	}
 
-	// A daemon that is neither SteadyDaemon nor Sleeper forces per-tick
-	// stepping.
+	// A daemon that is not a SteadyDaemon forces per-tick stepping.
 	m2 := busySteady(t, &tickCounter{})
 	if u := m2.SteadyUntil(m2.Now() + sim.Second); u != m2.Now() {
 		t.Fatalf("non-steady daemon certified steady until %d", u)
@@ -65,7 +55,7 @@ func TestSteadyUntilGates(t *testing.T) {
 
 // TestSteadyBoundaryExact pins the window bound to the exact microsecond for
 // each bounding source — the caller's limit, the first pending timer
-// (tick-aligned and not), and a sleeping daemon's NextWake. Off-by-one
+// (tick-aligned and not), and a sleeping daemon's Wake. Off-by-one
 // errors here would silently shift which tick runs through the general path.
 func TestSteadyBoundaryExact(t *testing.T) {
 	cases := []struct {
@@ -268,26 +258,11 @@ func TestSteadyMatchesStepping(t *testing.T) {
 
 	end := sim.Time(2 * sim.Second)
 	fast.RunUntil(end)
-	for slow.Now() < end {
-		slow.Step()
-	}
+	stepUntil(slow, end)
 
-	if fast.Now() != slow.Now() {
-		t.Fatalf("clocks diverged: %d != %d", fast.Now(), slow.Now())
-	}
-	if fb, sb := math.Float64bits(fast.EnergyJ()), math.Float64bits(slow.EnergyJ()); fb != sb {
-		t.Fatalf("energy diverged: %x != %x (%v vs %v)", fb, sb, fast.EnergyJ(), slow.EnergyJ())
-	}
+	requireSameMachine(t, fast, slow)
+	requireSameGovernor(t, fgov, sgov)
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		if math.Float64bits(fast.ClusterEnergyJ(k)) != math.Float64bits(slow.ClusterEnergyJ(k)) {
-			t.Fatalf("cluster %v energy diverged: %v != %v", k, fast.ClusterEnergyJ(k), slow.ClusterEnergyJ(k))
-		}
-		if math.Float64bits(fgov.TempC(k)) != math.Float64bits(sgov.TempC(k)) {
-			t.Fatalf("cluster %v temperature diverged: %v != %v", k, fgov.TempC(k), sgov.TempC(k))
-		}
-		if math.Float64bits(fgov.PeakC(k)) != math.Float64bits(sgov.PeakC(k)) {
-			t.Fatalf("cluster %v peak diverged: %v != %v", k, fgov.PeakC(k), sgov.PeakC(k))
-		}
 		if fast.LevelCap(k) != slow.LevelCap(k) {
 			t.Fatalf("cluster %v cap diverged: %d != %d", k, fast.LevelCap(k), slow.LevelCap(k))
 		}
@@ -297,13 +272,5 @@ func TestSteadyMatchesStepping(t *testing.T) {
 	}
 	if fp.HB.Count() != sp.HB.Count() {
 		t.Fatalf("heartbeats diverged: %d != %d", fp.HB.Count(), sp.HB.Count())
-	}
-	if fast.Overhead() != slow.Overhead() {
-		t.Fatalf("overhead diverged: %d != %d", fast.Overhead(), slow.Overhead())
-	}
-	if fgov.Throttles() != sgov.Throttles() || fgov.Trips() != sgov.Trips() || fgov.Releases() != sgov.Releases() {
-		t.Fatalf("governor counters diverged: %d/%d/%d != %d/%d/%d",
-			fgov.Throttles(), fgov.Trips(), fgov.Releases(),
-			sgov.Throttles(), sgov.Trips(), sgov.Releases())
 	}
 }

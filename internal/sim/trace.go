@@ -336,21 +336,7 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 }
 
 // SetTracer attaches an event tracer to the machine (nil detaches).
-func (m *Machine) SetTracer(tr *Tracer) {
-	m.tracer = tr
-	for _, fn := range m.tracerListeners {
-		fn()
-	}
-}
-
-// OnTracerChange registers fn to run on every SetTracer call. The fleet
-// layer subscribes so its memoized shared-tracer verdict — which decides
-// whether node advancement may shard across workers — is invalidated the
-// moment a tracer is attached or detached, instead of being recomputed by
-// walking every node each barrier.
-func (m *Machine) OnTracerChange(fn func()) {
-	m.tracerListeners = append(m.tracerListeners, fn)
-}
+func (m *Machine) SetTracer(tr *Tracer) { m.tracer = tr }
 
 // Tracer returns the attached tracer, if any.
 func (m *Machine) Tracer() *Tracer { return m.tracer }
