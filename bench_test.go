@@ -200,8 +200,8 @@ func BenchmarkFleetScale1k(b *testing.B) { bench.FleetScale1k(b) }
 func BenchmarkFleetScale1kActive(b *testing.B) { bench.FleetScale1kActive(b) }
 
 // BenchmarkFleetScale1kFaults crashes and heals a band of idle nodes
-// mid-run with the failure detector armed — the wake index on the measured
-// path.
+// mid-run with the failure detector armed — the scheduler's detector,
+// recovery and wake scan on the measured path.
 func BenchmarkFleetScale1kFaults(b *testing.B) { bench.FleetScale1kFaults(b) }
 
 // BenchmarkFleetScale1kLockstep is the 1024-node fleet stepped tick by

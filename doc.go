@@ -55,12 +55,12 @@
 // running unmodified while a fleet scheduler decides which node an
 // application lands on. internal/sim contributes the Node identity — a
 // named machine bundling its platform, power model, thermal governor, and
-// manager daemons behind the shared-clock Ticker interface, with
-// node-tagged trace events — and fleet.Fleet advances any number of Nodes
-// on one deterministic clock. Advancement is event-driven: a node that
-// provably has nothing to do (sim.Machine.SteadyUntil certifies an idle
-// window, in which every per-tick phase is a no-op) jumps its clock to its
-// next event instead of stepping, the fleet advances to the earliest wake time its scheduler
+// manager daemons, with node-tagged trace events — and fleet.Fleet
+// advances any number of Nodes on one deterministic clock. Advancement is
+// event-driven: a node that provably has nothing to do
+// (sim.Machine.SteadyUntil certifies an idle window, in which every
+// per-tick phase is a no-op) jumps its clock to its next event instead of
+// stepping, the fleet advances to the earliest wake time its scheduler
 // hooks report (fleet.Sleeper), and node advancement can shard across
 // workers with a deterministic merge. The fast path is an execution
 // strategy, not a semantic change — traces and digests are bit-for-bit
@@ -194,14 +194,12 @@
 //     BenchmarkFleetScale1k family tracks it at 1024 nodes (idle, ~5%
 //     active, and fault-armed crash/heal variants).
 //   - The fleet core itself is engineered for thousand-node fleets: the
-//     scheduler's NextWake reads an incremental wake index (silent-node
-//     detection deadlines in a min-heap maintained by machine failure
-//     listeners, declared-down nodes in a short heal-probe list) instead
-//     of scanning every node per barrier — the O(nodes) scan survives as
-//     the verification reference (fleet.Scheduler.SetWakeScan /
-//     SetWakeVerify); node advancement between barriers runs on a
-//     persistent worker pool fed by a chunked cursor instead of spawning
-//     goroutines per barrier; and bit-identical idle nodes share one
+//     number of barriers tracks activity, not ticks, and each barrier's
+//     scheduler work is a few O(nodes) passes (partition reconcile, the
+//     failure detector, NextWake's deadline and heal scan); node
+//     advancement between barriers runs on a persistent worker pool fed
+//     by a chunked cursor instead of spawning goroutines per barrier;
+//     and bit-identical idle nodes share one
 //     energy-replay computation per idle window through a bit-exact-keyed
 //     cache (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the

@@ -141,8 +141,9 @@ func (benchHost) Salvage(*fleet.Node, *fleet.App)                 {}
 // shape the event-driven core exists for: wall-clock should track the busy
 // nodes plus the decision points, not nodes × ticks. With faults armed the
 // run crashes a band of idle nodes mid-flight and heals them later, so the
-// detector deadlines, the down set, and the recovery wakes — the wake
-// index's whole surface — are on the measured path. The lockstep variants
+// scheduler's per-barrier fault work — the reconcile and detector passes
+// and NextWake's deadline and heal scan — is on the measured path. The
+// lockstep variants
 // pin the price of the reference strategy; the ratios are the tracked
 // speedups.
 func fleetScale(b *testing.B, nodes, busy int, faults, lockstep bool) {
@@ -253,7 +254,7 @@ func FleetScale1k(b *testing.B) { fleetScale(b, 1024, 1, false, false) }
 func FleetScale1kActive(b *testing.B) { fleetScale(b, 1024, 51, false, false) }
 
 // FleetScale1kFaults is FleetScale1k with the failure detector armed and a
-// scripted crash/heal band — the wake index under fire.
+// scripted crash/heal band — the scheduler's fault passes under fire.
 func FleetScale1kFaults(b *testing.B) { fleetScale(b, 1024, 1, true, false) }
 
 // FleetScale1kLockstep is the 1024-node fleet under the reference per-tick

@@ -246,14 +246,13 @@ func (h *barrierCounter) NextWake(*fleet.Fleet) sim.Time {
 	return sim.Time(math.MaxInt64)
 }
 
-// TestHealWakeDoesNotCollapseJumping pins the recovery-wake fix: a node
-// proving alive while still declared down wakes the scheduler immediately
-// (`!failed && down` → now), and that immediate wake must cost O(1) ticks
-// per heal — not collapse barrier jumping into per-tick lockstep for the
-// rest of the run, stranding the unrelated nodes in slow motion. The same
-// schedule replays in lockstep to prove the event-core outcome is
-// bit-identical, and the wake index is verified against the full scan at
-// every barrier across the crash, detection, and heal transitions.
+// TestHealWakeDoesNotCollapseJumping pins that the scheduler's heal wake
+// costs O(1) barriers: a node proving alive while still declared down wakes
+// the scheduler immediately (`!failed && down` → now), and the very next
+// Tick marks it back up, so NextWake's scan returns to the cadence wake
+// instead of collapsing barrier jumping into per-tick lockstep for the rest
+// of the run. The same crash/detect/heal schedule replays in lockstep to
+// prove the event-core outcome is bit-identical.
 func TestHealWakeDoesNotCollapseJumping(t *testing.T) {
 	type outcome struct {
 		energy    float64
@@ -276,7 +275,6 @@ func TestHealWakeDoesNotCollapseJumping(t *testing.T) {
 		s := fleet.NewScheduler(f, host, fleet.Config{
 			Fault: &fault.Config{HeartbeatTimeout: 100 * sim.Millisecond},
 		})
-		s.SetWakeVerify(true)
 		ctr := &barrierCounter{}
 		f.AddHook(ctr)
 
@@ -285,9 +283,6 @@ func TestHealWakeDoesNotCollapseJumping(t *testing.T) {
 		f.RunUntil(2 * sim.Second)
 		nodes[2].Heal() // alive while declared down: immediate wake, one-tick recovery
 		f.RunUntil(3 * sim.Second)
-		if err := s.WakeVerifyErr(); err != nil {
-			t.Fatal(err)
-		}
 		return outcome{f.EnergyJ(), f.Now(), s.Stats().Recovered}, ctr.ticks
 	}
 

@@ -29,25 +29,21 @@
 // fleet back to per-tick lockstep, which is always correct. SetLockstep
 // forces the reference path outright.
 //
-// # Wake index
+// # Barrier cost
 //
-// Barrier cost is proportional to activity, not fleet size. The scheduler
-// derives its NextWake from an incremental wake index instead of scanning
-// every node: detector deadlines enter a min-ordered index when a machine
-// crashes (sim.Machine failure listeners notify the scheduler at the
-// transition) and leave it on detection or heal, declared-down nodes sit in
-// a short list consulted for pending heals, and the migrate/checkpoint
-// cadences are scalars — so a barrier on a thousand-node fleet costs
-// O(active), where active counts crashed-undetected and down nodes, not
-// O(nodes). The historical full-scan NextWake survives as the bit-exactness
-// reference (Scheduler.SetWakeScan), and Scheduler.SetWakeVerify runs both
-// per barrier and records the first divergence — the equivalence suite
-// replays generated fault scenarios with it on. Node advancement between
-// barriers reuses a persistent worker pool (no per-barrier goroutine spawn)
-// fed by a chunked atomic counter, and machines route their idle windows'
-// energy replay through per-worker sim.JumpCaches, so a barrier over a
-// mostly-idle fleet replays the energy accumulation of each distinct
-// machine state once instead of once per node.
+// The number of barriers tracks activity, not ticks. Each barrier's
+// scheduler work is O(nodes): Tick reconciles every node's partition
+// tables and, with fault-aware scheduling, feeds every node's liveness to
+// the failure detector, and NextWake scans every node for detector
+// deadlines and pending heals. The scan is the same order as the passes
+// the barrier runs anyway, so an incremental wake structure could save at
+// most part of one of them; a plain scan keeps one NextWake with nothing
+// to keep in sync. Node advancement between barriers reuses a persistent
+// worker pool (no per-barrier goroutine spawn) fed by a chunked atomic
+// counter, and machines route their idle windows' energy replay through
+// per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet replays
+// the energy accumulation of each distinct machine state once instead of
+// once per node.
 //
 // # Determinism
 //
@@ -272,9 +268,6 @@ func New(nodes ...*Node) (*Fleet, error) {
 
 // Nodes returns the fleet's nodes in index order.
 func (f *Fleet) Nodes() []*Node { return f.nodes }
-
-// Node returns the node at index i.
-func (f *Fleet) Node(i int) *Node { return f.nodes[i] }
 
 // Now returns the shared clock (every node agrees with it).
 func (f *Fleet) Now() sim.Time { return f.nodes[0].Now() }

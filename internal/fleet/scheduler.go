@@ -259,15 +259,6 @@ type Scheduler struct {
 	recovered     int
 	transferFails int
 
-	// Wake-index state: idx is the incremental NextWake source (nil when
-	// Config.Fault is nil — without a detector there is nothing per-node
-	// to index), wakeScan selects the full-scan reference instead, and
-	// wakeVerify runs both and records the first divergence in wakeErr.
-	idx        *wakeIndex
-	wakeScan   bool
-	wakeVerify bool
-	wakeErr    error
-
 	// rollup is the always-on decision-observability aggregate; its
 	// Decisions counter doubles as the next decision ID, assigned whether
 	// or not an Observer records the streams.
@@ -289,11 +280,6 @@ func NewScheduler(f *Fleet, host Host, cfg Config) *Scheduler {
 		s.detector = fault.NewDetector(len(f.Nodes()), fc.HeartbeatTimeout, f.Now())
 		s.backoff = fault.NewBackoff(*fc)
 		s.nextCkpt = f.Now() + fc.CheckpointEvery
-		s.idx = newWakeIndex(len(f.Nodes()))
-		for i, n := range f.Nodes() {
-			i := i
-			n.Machine.OnFailureChange(func(bool) { s.idx.noteDirty(i) })
-		}
 	}
 	f.AddHook(s)
 	return s
@@ -373,12 +359,6 @@ func (s *Scheduler) Depart(app *App) {
 	app.node = nil
 }
 
-// Tick implements Hook: drain the admission queue against freshly freed
-// capacity, then run the periodic saturation/migration pass. Partition
-// tables are reconciled once up front; the per-node checks are pure reads
-// (Register/Unregister keep the tables current within the pass). With
-// fault-aware scheduling the detector, recovery, and background-checkpoint
-// passes run every tick before the drain.
 // NextWake implements Sleeper: the earliest future clock time at which Tick
 // is anything but a no-op. A non-empty admission queue wakes the scheduler
 // every tick — node-local adaptation can free partition capacity at any
@@ -390,28 +370,9 @@ func (s *Scheduler) Depart(app *App) {
 // alive observations are last-write-wins and silence keeps the deadline
 // fixed). A node that proved alive while still declared down wakes the
 // scheduler immediately so the recovery transition lands on the next tick,
-// as it would in lockstep.
+// as it would in lockstep. The per-node scan is O(nodes), the same order as
+// the reconcile and detector passes every fault-aware Tick already runs.
 func (s *Scheduler) NextWake(f *Fleet) sim.Time {
-	if s.wakeVerify {
-		scan, indexed := s.nextWakeScan(f), s.nextWakeIndexed(f)
-		if scan != indexed && s.wakeErr == nil {
-			s.wakeErr = fmt.Errorf("fleet: wake index diverged at t=%d: scan=%d indexed=%d", f.Now(), scan, indexed)
-		}
-		if s.wakeScan {
-			return scan
-		}
-		return indexed
-	}
-	if s.wakeScan || s.idx == nil {
-		return s.nextWakeScan(f)
-	}
-	return s.nextWakeIndexed(f)
-}
-
-// nextWakeScan is the O(nodes) full-scan reference implementation of
-// NextWake, kept verbatim as the bit-exactness oracle for the wake index
-// (SetWakeScan selects it, SetWakeVerify checks the index against it).
-func (s *Scheduler) nextWakeScan(f *Fleet) sim.Time {
 	now := f.Now()
 	if len(s.queue) > 0 {
 		return now
@@ -442,85 +403,32 @@ func (s *Scheduler) nextWakeScan(f *Fleet) sim.Time {
 	return wake
 }
 
-// nextWakeIndexed computes the same wake time from the incremental index:
-// the silent heap replaces the per-node deadline scan, and the pending-heal
-// probe touches only declared-down nodes. O(dirty + down + 1) per call.
-func (s *Scheduler) nextWakeIndexed(f *Fleet) sim.Time {
-	now := f.Now()
-	if len(s.queue) > 0 {
-		return now
-	}
-	wake := sim.Time(math.MaxInt64)
-	if s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 {
-		wake = s.nextMigrate
-	}
-	if s.detector != nil {
-		if s.cfg.Fault.CheckpointEvery > 0 && s.nextCkpt < wake {
-			wake = s.nextCkpt
-		}
-		s.idx.sync(s)
-		for _, i := range s.idx.down {
-			if !f.Node(i).Failed() {
-				return now
-			}
-		}
-		if d, ok := s.idx.minSilent(); ok && d < wake {
-			wake = d
-		}
-	}
-	if wake < now {
-		return now
-	}
-	return wake
-}
-
-// SetWakeScan switches NextWake to the full-scan reference implementation
-// instead of the incremental wake index. Both produce identical wake times
-// (the equivalence suite proves it); the switch exists for benchmarking
-// and verification.
-func (s *Scheduler) SetWakeScan(on bool) { s.wakeScan = on }
-
-// SetWakeVerify makes every NextWake compute both the scan and the index
-// answer and record the first divergence, retrievable via WakeVerifyErr.
-// For tests; doubles the wake cost.
-func (s *Scheduler) SetWakeVerify(on bool) { s.wakeVerify = on }
-
-// WakeVerifyErr returns the first scan/index divergence observed under
-// SetWakeVerify, or nil.
-func (s *Scheduler) WakeVerifyErr() error { return s.wakeErr }
-
+// Tick implements Hook. Partition tables are reconciled once up front; the
+// per-node checks below are pure reads (Register/Unregister keep the tables
+// current within the pass). With fault-aware scheduling the pass first
+// observes node liveness (marking nodes down after the heartbeat timeout and
+// salvaging their apps into the queue) and takes the periodic background
+// checkpoints; then the admission queue drains against freshly freed
+// capacity — so an app recovered this tick re-places on a surviving node in
+// the same tick when capacity exists, and simply stays queued when none
+// does — and finally the periodic saturation/migration pass runs when due.
+// Without a detector, an empty queue and no migration due, Tick is a no-op.
 func (s *Scheduler) Tick(f *Fleet) {
-	if s.detector != nil {
-		s.faultTick(f)
-		return
-	}
-	due := s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && f.Now() >= s.nextMigrate
-	if len(s.queue) == 0 && !due {
+	now := f.Now()
+	due := s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && now >= s.nextMigrate
+	if s.detector == nil && len(s.queue) == 0 && !due {
 		return
 	}
 	s.reconcileAll()
+	if s.detector != nil {
+		s.detectPass(now)
+		if s.cfg.Fault.CheckpointEvery > 0 && now >= s.nextCkpt {
+			s.snapshotPass()
+			s.nextCkpt = now + s.cfg.Fault.CheckpointEvery
+		}
+	}
 	s.drain()
 	if due {
-		s.migratePass()
-		s.nextMigrate = f.Now() + s.cfg.MigrateEvery
-	}
-}
-
-// faultTick is the fault-aware per-tick pass: observe node liveness (marking
-// nodes down after the heartbeat timeout and salvaging their apps into the
-// queue), take the periodic background checkpoints, then drain — so an app
-// recovered this tick re-places on a surviving node in the same tick when
-// capacity exists, and simply stays queued when none does.
-func (s *Scheduler) faultTick(f *Fleet) {
-	now := f.Now()
-	s.reconcileAll()
-	s.detectPass(now)
-	if s.cfg.Fault.CheckpointEvery > 0 && now >= s.nextCkpt {
-		s.snapshotPass()
-		s.nextCkpt = now + s.cfg.Fault.CheckpointEvery
-	}
-	s.drain()
-	if s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && now >= s.nextMigrate {
 		s.migratePass()
 		s.nextMigrate = now + s.cfg.MigrateEvery
 	}
@@ -535,12 +443,10 @@ func (s *Scheduler) detectPass(now sim.Time) {
 		failed, recovered := s.detector.Observe(i, !n.Failed(), now)
 		if failed {
 			n.SetDown(true)
-			s.idx.setDown(i, true)
 			s.recoverNode(n)
 		}
 		if recovered {
 			n.SetDown(false)
-			s.idx.setDown(i, false)
 		}
 	}
 }

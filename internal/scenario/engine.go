@@ -85,15 +85,11 @@ type Options struct {
 	// flag.
 	NoSteady bool
 
-	// WakeScan switches the fleet scheduler's NextWake to the full-scan
-	// reference implementation instead of the incremental wake index.
-	// Identical wake times either way (the equivalence suite proves it);
-	// the switch exists for benchmarking and for that proof.
+	// WakeScan once selected between two fleet.Scheduler NextWake
+	// implementations. It is kept so existing callers still compile.
+	//
+	// Deprecated: has no effect; NextWake has one implementation.
 	WakeScan bool
-
-	// VerifyWake makes every NextWake compute both the scan and the index
-	// answer; the run fails with the first divergence. For tests.
-	VerifyWake bool
 
 	// Workers shards node advancement between fleet decision points across
 	// this many goroutines (fleet.SetWorkers). Any width produces
@@ -526,8 +522,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		Observer:     obs,
 		Force:        force,
 	})
-	e.sched.SetWakeScan(opts.WakeScan)
-	e.sched.SetWakeVerify(opts.VerifyWake)
 	if opts.CheckEveryTick {
 		// Registered after the scheduler's hook, so each tick is checked in
 		// its settled post-scheduling state.
@@ -598,11 +592,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	if e.trace != nil {
 		if err := e.trace.Flush(); err != nil {
 			return nil, fmt.Errorf("scenario: trace: %w", err)
-		}
-	}
-	if e.opts.VerifyWake {
-		if err := e.sched.WakeVerifyErr(); err != nil {
-			return nil, err
 		}
 	}
 	return e.result(), nil
@@ -917,18 +906,9 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		// MP-HARS owns the core partition: admission requires a free core
 		// somewhere (the scheduler's CanAdmit checked it; capacity cannot
 		// change in between, but stay defensive).
-		freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
-		if freeB+freeL == 0 {
+		initB, initL, ok := mpInitCores(nr, a)
+		if !ok {
 			return fleet.AdmitNoCapacity
-		}
-		initB := minInt(intOr(a.spec.InitBig, 1), freeB)
-		initL := minInt(intOr(a.spec.InitLittle, 1), freeL)
-		if initB+initL == 0 {
-			if freeL > 0 {
-				initL = 1
-			} else {
-				initB = 1
-			}
 		}
 		a.prog = b.New(threads)
 		a.applyPhaseScale()
@@ -949,36 +929,65 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 	a.node = nr
 	a.res.Node = nr.rn.name
 	app.Proc = a.proc
-	switch nr.rn.manager {
-	case ManagerHARSI, ManagerHARSE, ManagerHARSEI:
-		v := core.HARSI
-		switch nr.rn.manager {
-		case ManagerHARSE:
-			v = core.HARSE
-		case ManagerHARSEI:
-			v = core.HARSEI
+	e.attachManager(nr, a, tgt)
+	a.incarnAt = nr.m.Now()
+	return fleet.AdmitOK
+}
+
+// mpInitCores clips the app's initial MP-HARS partition (InitBig and
+// InitLittle, one core each by default) to the node's free cores. When
+// both clip to zero the app gets one core of whichever cluster has room,
+// little first. ok is false when the node has no free core at all.
+func mpInitCores(nr *nodeRun, a *appRun) (b, l int, ok bool) {
+	freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
+	if freeB+freeL == 0 {
+		return 0, 0, false
+	}
+	b = minInt(intOr(a.spec.InitBig, 1), freeB)
+	l = minInt(intOr(a.spec.InitLittle, 1), freeL)
+	if b+l == 0 {
+		if freeL > 0 {
+			l = 1
+		} else {
+			b = 1
 		}
-		// Start from the maximum state the *current* platform supports, so
-		// an arrival after hotplug or capping begins inside bounds.
-		st := hmp.MaxState(nr.rn.plat)
-		bd := core.MachineBounds(nr.m)
-		st.BigCores = minInt(st.BigCores, bd.MaxBigCores)
-		st.LittleCores = minInt(st.LittleCores, bd.MaxLittleCores)
-		st.BigLevel = minInt(st.BigLevel, bd.BigLevelCap-1)
-		st.LittleLevel = minInt(st.LittleLevel, bd.LittleLevelCap-1)
-		a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
-			Version:     v,
-			AdaptEvery:  nr.rn.adaptEvery,
-			OverheadCPU: nr.rn.overheadCPU,
-			InitState:   &st,
-		})
-		nr.m.AddDaemon(a.mgr)
+	}
+	return b, l, true
+}
+
+// attachManager attaches a non-partitioned node's runtime management to
+// the app's fresh incarnation: a HARS manager daemon on a HARS-managed
+// node, otherwise the bare heartbeat target plus the app's static
+// affinity mask.
+func (e *engine) attachManager(nr *nodeRun, a *appRun, tgt heartbeat.Target) {
+	var v core.Version
+	switch nr.rn.manager {
+	case ManagerHARSI:
+		v = core.HARSI
+	case ManagerHARSE:
+		v = core.HARSE
+	case ManagerHARSEI:
+		v = core.HARSEI
 	default:
 		a.proc.HB.SetTarget(tgt)
 		e.applyAffinity(a)
+		return
 	}
-	a.incarnAt = nr.m.Now()
-	return fleet.AdmitOK
+	// Start from the maximum state the *current* platform supports, so an
+	// arrival after hotplug or capping begins inside bounds.
+	st := hmp.MaxState(nr.rn.plat)
+	bd := core.MachineBounds(nr.m)
+	st.BigCores = minInt(st.BigCores, bd.MaxBigCores)
+	st.LittleCores = minInt(st.LittleCores, bd.MaxLittleCores)
+	st.BigLevel = minInt(st.BigLevel, bd.BigLevelCap-1)
+	st.LittleLevel = minInt(st.LittleLevel, bd.LittleLevelCap-1)
+	a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
+		Version:     v,
+		AdaptEvery:  nr.rn.adaptEvery,
+		OverheadCPU: nr.rn.overheadCPU,
+		InitState:   &st,
+	})
+	nr.m.AddDaemon(a.mgr)
 }
 
 // applyPhaseScale re-applies the last scripted workload phase scale to a
@@ -1024,21 +1033,14 @@ func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.Adm
 	}
 	var initB, initL int
 	if nr.mp != nil {
-		freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
-		if freeB+freeL == 0 {
+		var ok bool
+		if initB, initL, ok = mpInitCores(nr, a); !ok {
 			return fleet.AdmitNoCapacity
-		}
-		initB = minInt(intOr(a.spec.InitBig, 1), freeB)
-		initL = minInt(intOr(a.spec.InitLittle, 1), freeL)
-		if initB+initL == 0 {
-			if freeL > 0 {
-				initL = 1
-			} else {
-				initB = 1
-			}
 		}
 	}
 	// The node can take the app; now the checkpoint image must reach it.
+	// A full node bounces before the coin is drawn, so the transfer coin
+	// sequence depends only on admissions that had capacity.
 	if e.coin != nil && e.coin.Flip() {
 		return fleet.AdmitTransferFailed
 	}
@@ -1047,37 +1049,11 @@ func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.Adm
 		restore = nr.m.Recover
 	}
 
+	a.proc = restore(a.ckpt, resume)
 	if nr.mp != nil {
-		a.proc = restore(a.ckpt, resume)
 		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
 	} else {
-		a.proc = restore(a.ckpt, resume)
-		switch nr.rn.manager {
-		case ManagerHARSI, ManagerHARSE, ManagerHARSEI:
-			v := core.HARSI
-			switch nr.rn.manager {
-			case ManagerHARSE:
-				v = core.HARSE
-			case ManagerHARSEI:
-				v = core.HARSEI
-			}
-			st := hmp.MaxState(nr.rn.plat)
-			bd := core.MachineBounds(nr.m)
-			st.BigCores = minInt(st.BigCores, bd.MaxBigCores)
-			st.LittleCores = minInt(st.LittleCores, bd.MaxLittleCores)
-			st.BigLevel = minInt(st.BigLevel, bd.BigLevelCap-1)
-			st.LittleLevel = minInt(st.LittleLevel, bd.LittleLevelCap-1)
-			a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
-				Version:     v,
-				AdaptEvery:  nr.rn.adaptEvery,
-				OverheadCPU: nr.rn.overheadCPU,
-				InitState:   &st,
-			})
-			nr.m.AddDaemon(a.mgr)
-		default:
-			a.proc.HB.SetTarget(tgt)
-			e.applyAffinity(a)
-		}
+		e.attachManager(nr, a, tgt)
 	}
 	// Track the restored program object: identical to a.prog for a
 	// migration (Checkpoint moves the live object into the snapshot), but a

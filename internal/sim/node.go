@@ -2,20 +2,6 @@ package sim
 
 import "repro/internal/hmp"
 
-// Ticker is the single-clock advance interface of a multi-machine
-// simulation: one call advances one tick. Machine and Node both implement
-// it; a fleet layer advances many Tickers in lockstep so every machine of a
-// multi-node run shares one deterministic clock.
-type Ticker interface {
-	// Step advances the simulation by one tick.
-	Step()
-	// Now returns the current simulated time.
-	Now() Time
-	// TickLen returns the tick length. Tickers sharing a clock must agree
-	// on it.
-	TickLen() Time
-}
-
 // Node is one machine of a multi-machine simulation: a Machine plus a fleet
 // identity. The machine's power model, thermal governor, and runtime
 // manager all hang off the embedded Machine (Config.Power and AddDaemon),

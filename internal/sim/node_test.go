@@ -38,12 +38,6 @@ func TestNodeStepEqualsMachineStep(t *testing.T) {
 	}
 }
 
-// TestNodeImplementsTicker pins the single-clock interface.
-func TestNodeImplementsTicker(t *testing.T) {
-	var _ sim.Ticker = sim.New(hmp.Default(), sim.Config{})
-	var _ sim.Ticker = sim.NewNode(0, "n", hmp.Default(), sim.Config{})
-}
-
 // TestNodeTaggedTrace checks that events recorded through a node-attached
 // tracer carry the node name and that the CSV gains the node column, while
 // untagged tracers keep the historical header.
