@@ -142,11 +142,10 @@
 // is always on at plain-counter cost and surfaces in fleet.Stats,
 // scenario.Result, and both hars-scenario summary formats; the full
 // per-decision stream is opt-in ("decisions" scenario block,
-// -trace-decisions) and renders as "d," trace lines and gated
-// decision/detail columns in the sim.Tracer CSV and Chrome exports —
-// scores in hex floats so the stream is byte-stable, and byte-identical
-// whether the fleet runs lockstep, event-driven, or worker-sharded. With
-// tracing disabled every golden digest reproduces bit-for-bit.
+// -trace-decisions) and renders as "d," trace lines — scores in hex
+// floats so the stream is byte-stable, and byte-identical whether the
+// fleet runs lockstep, event-driven, or worker-sharded. With tracing
+// disabled every golden digest reproduces bit-for-bit.
 //
 // Because runs are deterministic, a recorded decision can be replayed
 // against its road not taken: hars-scenario -counterfactual <id>

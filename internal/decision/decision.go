@@ -147,27 +147,6 @@ func FormatCandidates(cands []Candidate) string {
 	return b.String()
 }
 
-// Detail renders the record's payload (everything but ID, time, and app)
-// as one space-free CSV-safe token sequence, the form sim.Tracer's gated
-// decision column carries.
-func (r Record) Detail() string {
-	from, to := r.From, r.Chosen
-	if from == "" {
-		from = "-"
-	}
-	if to == "" {
-		to = "-"
-	}
-	return fmt.Sprintf("%s %s>%s %s margin=%x %s",
-		r.Kind, from, to, r.Outcome, r.Margin, FormatCandidates(r.Candidates))
-}
-
-// Event converts the record to a sim tracer event (EvDecision): the app in
-// Proc, the decision ID in Decision, and the rendered payload in Detail.
-func (r Record) Event() sim.Event {
-	return sim.Event{T: r.T, Kind: sim.EvDecision, Proc: r.App, Decision: r.ID, Detail: r.Detail()}
-}
-
 // Sink consumes decision records as the scheduler makes them. Sinks run on
 // the main simulation goroutine inside hook ticks; they must not mutate
 // scheduler or fleet state.
@@ -189,15 +168,6 @@ func Tee(sinks ...Sink) Sink {
 		}
 	})
 }
-
-// TracerSink forwards records to a sim.Tracer as EvDecision events,
-// subject to the tracer's own retention cap.
-type TracerSink struct {
-	Tr *sim.Tracer
-}
-
-// Decision implements Sink.
-func (s TracerSink) Decision(r Record) { s.Tr.Record(r.Event()) }
 
 // Log is a bounded in-memory Sink: records beyond Max are counted and
 // dropped, mirroring sim.Tracer's retention discipline (a backed-up queue

@@ -2,10 +2,7 @@ package decision
 
 import (
 	"math"
-	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
@@ -52,29 +49,6 @@ func TestFormatCandidatesByteStable(t *testing.T) {
 	}
 }
 
-func TestRecordDetailAndEvent(t *testing.T) {
-	r := Record{
-		ID: 7, T: 5 * sim.Millisecond, Kind: Migrate, App: "app0",
-		From: "node0", Chosen: "node1", Outcome: OutcomeMoved, Margin: 0.5,
-		Candidates: []Candidate{{Node: "node1", Score: 2}},
-	}
-	d := r.Detail()
-	want := "migrate node0>node1 moved margin=0x1p-01 node1:0x1p+01"
-	if d != want {
-		t.Fatalf("Detail = %q, want %q", d, want)
-	}
-	ev := r.Event()
-	if ev.Kind != sim.EvDecision || ev.Proc != "app0" || ev.Decision != 7 || ev.T != r.T || ev.Detail != d {
-		t.Fatalf("Event = %+v", ev)
-	}
-
-	// Empty from/to render as "-" so the token count is fixed.
-	r2 := Record{Kind: Admit, App: "a", Outcome: OutcomeNoCandidate}
-	if got := r2.Detail(); !strings.HasPrefix(got, "admit ->- no-candidate") {
-		t.Fatalf("Detail = %q, want '-' placeholders", got)
-	}
-}
-
 func TestTeeAndSinkFunc(t *testing.T) {
 	var a, b []uint64
 	s := Tee(SinkFunc(func(r Record) { a = append(a, r.ID) }),
@@ -109,15 +83,6 @@ func TestLogDefaultCap(t *testing.T) {
 	}
 	if len(l.Records()) != 100_000 || l.Dropped() != 1 {
 		t.Fatalf("default cap: retained=%d dropped=%d", len(l.Records()), l.Dropped())
-	}
-}
-
-func TestTracerSink(t *testing.T) {
-	tr := &sim.Tracer{Max: 10}
-	TracerSink{Tr: tr}.Decision(Record{ID: 3, T: sim.Millisecond, Kind: Admit, App: "a", Chosen: "n", Outcome: OutcomePlaced})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != sim.EvDecision || evs[0].Decision != 3 {
-		t.Fatalf("tracer events = %+v", evs)
 	}
 }
 

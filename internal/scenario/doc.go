@@ -245,11 +245,10 @@
 // and the winner's score margin over the runner-up. Scores and margins
 // render as hexadecimal floats, so the lines are byte-stable and exact.
 // The same records land in Result.DecisionRecords (bounded by "keep",
-// default 100,000; overflow counted in Result.DecisionsDropped), and
-// sim.Tracer CSV/Chrome output grows decision/detail columns only when
-// decision events are present. Options.TraceDecisions arms the stream from
-// the command line (hars-scenario -trace-decisions) without touching the
-// document. With the block absent or disabled (and the flag off) the trace
+// default 100,000; overflow counted in Result.DecisionsDropped).
+// Options.TraceDecisions arms the stream from the command line
+// (hars-scenario -trace-decisions) without touching the document. With
+// the block absent or disabled (and the flag off) the trace
 // is bit-for-bit the undecorated run — every golden digest reproduces
 // exactly — while the always-on rollup (Result.Decisions: decision counts
 // by kind, gated migrations, mean score margin, admission queue-wait

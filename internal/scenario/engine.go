@@ -887,58 +887,37 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		// itself bounces.
 		return fleet.AdmitNoCapacity
 	}
+	// An MP-HARS node needs a free core somewhere (the scheduler's CanAdmit
+	// checked it; capacity cannot change in between, but stay defensive).
+	initB, initL, ok := mpInitCores(nr, a)
+	if !ok {
+		return fleet.AdmitNoCapacity
+	}
 	if a.ckpt != nil {
-		return e.admitRestored(nr, app, a)
+		return e.admitRestored(nr, app, a, initB, initL)
 	}
 	b, _ := workload.ByShort(a.spec.Bench)
-	threads := a.spec.Threads
-	if threads <= 0 {
-		threads = 8
-	}
+	threads := threadsOf(a)
 	window := a.spec.HBWindow
 	if window <= 0 {
 		window = 10
 	}
-	tgtSpec, tgtFrac := a.targetSpec()
-	tgt := e.target(tgtSpec, tgtFrac, a.spec.Bench, threads, nr)
-
-	if nr.mp != nil {
-		// MP-HARS owns the core partition: admission requires a free core
-		// somewhere (the scheduler's CanAdmit checked it; capacity cannot
-		// change in between, but stay defensive).
-		initB, initL, ok := mpInitCores(nr, a)
-		if !ok {
-			return fleet.AdmitNoCapacity
-		}
-		a.prog = b.New(threads)
-		a.applyPhaseScale()
-		a.proc = nr.m.Spawn(a.spec.Name, a.prog, window)
-		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
-		a.node = nr
-		a.res.Node = nr.rn.name
-		a.incarnAt = nr.m.Now()
-		app.Proc = a.proc
-		// No applyAffinity here: validation rejects affinity masks on
-		// managed candidate nodes — MP-HARS owns its apps' masks.
-		return fleet.AdmitOK
-	}
-
 	a.prog = b.New(threads)
 	a.applyPhaseScale()
 	a.proc = nr.m.Spawn(a.spec.Name, a.prog, window)
-	a.node = nr
-	a.res.Node = nr.rn.name
-	app.Proc = a.proc
-	e.attachManager(nr, a, tgt)
-	a.incarnAt = nr.m.Now()
+	e.incarnate(nr, app, a, initB, initL, nr.m.Now())
 	return fleet.AdmitOK
 }
 
 // mpInitCores clips the app's initial MP-HARS partition (InitBig and
 // InitLittle, one core each by default) to the node's free cores. When
 // both clip to zero the app gets one core of whichever cluster has room,
-// little first. ok is false when the node has no free core at all.
+// little first. ok is false when the node has no free core at all. Nodes
+// without MP-HARS have no partition: zero cores, always ok.
 func mpInitCores(nr *nodeRun, a *appRun) (b, l int, ok bool) {
+	if nr.mp == nil {
+		return 0, 0, true
+	}
 	freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
 	if freeB+freeL == 0 {
 		return 0, 0, false
@@ -953,6 +932,49 @@ func mpInitCores(nr *nodeRun, a *appRun) (b, l int, ok bool) {
 		}
 	}
 	return b, l, true
+}
+
+// incarnate places the app's fresh incarnation (a.proc, just spawned or
+// restored) on the node under its current target: MP-HARS registers it
+// with its initial partition, any other node attaches its runtime
+// management, and the app records its placement and incarnation start
+// (the crash-loss baseline).
+func (e *engine) incarnate(nr *nodeRun, app *fleet.App, a *appRun, initB, initL int, at sim.Time) {
+	tgtSpec, tgtFrac := a.targetSpec()
+	tgt := e.target(tgtSpec, tgtFrac, a.spec.Bench, threadsOf(a), nr)
+	if nr.mp != nil {
+		// No applyAffinity here: validation rejects affinity masks on
+		// managed candidate nodes — MP-HARS owns its apps' masks.
+		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
+	} else {
+		e.attachManager(nr, a, tgt)
+	}
+	a.node = nr
+	a.res.Node = nr.rn.name
+	a.incarnAt = at
+	app.Proc = a.proc
+}
+
+// detach removes the app's runtime management from its node ahead of a
+// teardown: the MP-HARS registration (an exited incarnation has none left)
+// and the HARS manager daemon. a.mgr itself stays set — a departed app
+// reports its manager in the result.
+func detach(nr *nodeRun, a *appRun) {
+	if nr.mp != nil && !a.proc.Exited() {
+		nr.mp.Unregister(nr.m, a.proc)
+	}
+	if a.mgr != nil {
+		nr.m.RemoveDaemon(a.mgr)
+	}
+}
+
+// release forgets the app's torn-down incarnation: it is no longer running,
+// managed or placed anywhere.
+func release(app *fleet.App, a *appRun) {
+	a.proc = nil
+	a.mgr = nil
+	a.node = nil
+	app.Proc = nil
 }
 
 // attachManager attaches a non-partitioned node's runtime management to
@@ -1020,23 +1042,15 @@ func (e *engine) applyAffinity(a *appRun) {
 // the held run state (program, heartbeat history, thread progress, pending
 // wakeups) resumes once the checkpoint delay — charged from the moment the
 // app was frozen — has elapsed, and the node's runtime management
-// re-attaches without state loss. Under fault injection the transfer may
+// re-attaches without state loss (on MP-HARS, with the initB/initL
+// partition Admit sized). Under fault injection the transfer may
 // fail transiently (the seeded coin), sending the app into retry backoff,
 // and a crash-recovery re-placement restores via Recover so the trace
 // records it as such.
-func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.AdmitResult {
-	tgtSpec, tgtFrac := a.targetSpec()
-	tgt := e.target(tgtSpec, tgtFrac, a.spec.Bench, threadsOf(a), nr)
+func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun, initB, initL int) fleet.AdmitResult {
 	resume := a.ckptAt + e.ckptCost.Delay()
 	if now := nr.m.Now(); resume < now {
 		resume = now
-	}
-	var initB, initL int
-	if nr.mp != nil {
-		var ok bool
-		if initB, initL, ok = mpInitCores(nr, a); !ok {
-			return fleet.AdmitNoCapacity
-		}
 	}
 	// The node can take the app; now the checkpoint image must reach it.
 	// A full node bounces before the coin is drawn, so the transfer coin
@@ -1050,11 +1064,7 @@ func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.Adm
 	}
 
 	a.proc = restore(a.ckpt, resume)
-	if nr.mp != nil {
-		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
-	} else {
-		e.attachManager(nr, a, tgt)
-	}
+	e.incarnate(nr, app, a, initB, initL, resume)
 	// Track the restored program object: identical to a.prog for a
 	// migration (Checkpoint moves the live object into the snapshot), but a
 	// crash recovery restores a clone — scripted phase events must mutate
@@ -1076,10 +1086,6 @@ func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.Adm
 	}
 	a.delayUS += resume - a.ckptAt
 	a.ckpt = nil
-	a.node = nr
-	a.res.Node = nr.rn.name
-	a.incarnAt = resume
-	app.Proc = a.proc
 	return fleet.AdmitOK
 }
 
@@ -1090,18 +1096,10 @@ func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.Adm
 func (e *engine) Checkpoint(n *fleet.Node, app *fleet.App) {
 	a := app.Payload.(*appRun)
 	nr := e.nodes[n.ID]
-	if nr.mp != nil {
-		nr.mp.Unregister(nr.m, a.proc)
-	}
-	if a.mgr != nil {
-		nr.m.RemoveDaemon(a.mgr)
-		a.mgr = nil
-	}
+	detach(nr, a)
 	a.ckpt = nr.m.Checkpoint(a.proc)
 	a.ckptAt = nr.m.Now()
-	a.proc = nil
-	a.node = nil
-	app.Proc = nil
+	release(app, a)
 }
 
 // Snapshot implements fleet.FaultHost: take the periodic background
@@ -1143,9 +1141,7 @@ func (e *engine) Salvage(n *fleet.Node, app *fleet.App) {
 		a.ckptAt = e.fl.Now()
 	}
 	a.prog = nil
-	a.proc = nil
-	a.node = nil
-	app.Proc = nil
+	release(app, a)
 	e.traceFault(e.nodes[n.ID], "salvage", a.spec.Name)
 }
 
@@ -1196,13 +1192,8 @@ func (e *engine) crashNode(nr *nodeRun) {
 		if lost := now - base; lost > 0 {
 			a.res.LostWorkUS += lost
 		}
-		if nr.mp != nil && !a.proc.Exited() {
-			nr.mp.Unregister(nr.m, a.proc)
-		}
-		if a.mgr != nil {
-			nr.m.RemoveDaemon(a.mgr)
-			a.mgr = nil
-		}
+		detach(nr, a)
+		a.mgr = nil // the manager goes down with the node
 	}
 	nr.m.Fail()
 	if nr.mp != nil {
@@ -1273,12 +1264,7 @@ func (e *engine) depart(a *appRun) {
 	}
 	a.res.Departed = true
 	a.res.Node = a.node.rn.name
-	if a.node.mp != nil {
-		a.node.mp.Unregister(a.node.m, a.proc)
-	}
-	if a.mgr != nil {
-		a.node.m.RemoveDaemon(a.mgr)
-	}
+	detach(a.node, a)
 	a.node.m.Kill(a.proc)
 	e.sched.Depart(a.fapp)
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/heartbeat"
-	"repro/internal/hmp"
 )
 
 // CheckpointCost models what a work-conserving process move costs: the
@@ -58,8 +57,11 @@ type WakeupSnapshot struct {
 // object (whose internal barrier/queue state rides along), the heartbeat
 // monitor (history and target intact), per-thread progress, and the pending
 // wakeups — everything Restore needs to continue the application on another
-// machine as if it had never stopped. Snapshots are produced by
-// Machine.Checkpoint and consumed exactly once by Machine.Restore.
+// machine as if it had never stopped. Machine.Checkpoint produces one that
+// owns the moved program and monitor; Machine.Snapshot produces a deep copy
+// of a still-running process. A snapshot is consumed by Machine.Restore or
+// Machine.Recover, which continue its program object — Clone it first to
+// keep a restore point that survives the restore.
 type ProcSnapshot struct {
 	Name    string
 	Prog    Program
@@ -129,52 +131,18 @@ func (s *ProcSnapshot) Migrations() int {
 // statistics for the executed portion stay valid. Must not be called from
 // mid-execute program callbacks.
 func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
-	if m.inExec {
-		panic("sim: Checkpoint called during execute")
-	}
-	if p.exited {
-		panic(fmt.Sprintf("sim: Checkpoint of exited process %q", p.Name))
-	}
-	snap := &ProcSnapshot{
-		Name:    p.Name,
-		Prog:    p.prog,
-		HB:      p.HB,
-		Threads: make([]ThreadSnapshot, len(p.Threads)),
-		TakenAt: m.now,
-	}
-	for i, t := range p.Threads {
-		snap.Threads[i] = ThreadSnapshot{
-			Remaining:  t.remaining,
-			WorkDone:   t.workDone,
-			Migrations: t.migrations,
-			Blocked:    t.blocked,
+	snap := m.capture(p, "Checkpoint")
+	// The captured wakeups must fire on the destination, not linger here as
+	// dead deliveries.
+	if len(snap.Wakeups) > 0 {
+		kept := m.timers.entries[:0]
+		for _, e := range m.timers.entries {
+			if e.proc != p {
+				kept = append(kept, e)
+			}
 		}
-	}
-	// Extract the process's pending wakeups from the timer heap: they must
-	// fire on the destination, not linger here as dead deliveries. Sorting
-	// by (at, seq) reproduces the firing order the source would have used,
-	// so re-pushing them on the destination preserves delivery order.
-	var mine []timerEntry
-	kept := m.timers.entries[:0]
-	for _, e := range m.timers.entries {
-		if e.proc == p {
-			mine = append(mine, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	if len(mine) > 0 {
 		m.timers.entries = kept
 		heap.Init(&m.timers)
-		sort.Slice(mine, func(i, j int) bool {
-			if mine[i].at != mine[j].at {
-				return mine[i].at < mine[j].at
-			}
-			return mine[i].seq < mine[j].seq
-		})
-		for _, e := range mine {
-			snap.Wakeups = append(snap.Wakeups, WakeupSnapshot{Local: e.local, At: e.at, Units: e.units})
-		}
 	}
 	if m.tracer != nil {
 		m.emit(Event{T: m.now, Kind: EvMigrateOut, Proc: p.Name})
@@ -191,20 +159,25 @@ func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
 // implement Cloneable (periodic background checkpoints then skip the app).
 // Must not be called from mid-execute program callbacks.
 func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
+	return m.capture(p, "Snapshot").Clone()
+}
+
+// capture reads a live process's run state into a snapshot that shares the
+// live program and heartbeat monitor: per-thread progress, plus the
+// process's pending wakeups in the (at, seq) order the source would fire
+// them, so re-pushing them on the destination preserves delivery order.
+// The timer heap is left untouched.
+func (m *Machine) capture(p *Process, op string) *ProcSnapshot {
 	if m.inExec {
-		panic("sim: Snapshot called during execute")
+		panic("sim: " + op + " called during execute")
 	}
 	if p.exited {
-		panic(fmt.Sprintf("sim: Snapshot of exited process %q", p.Name))
-	}
-	cl, ok := p.prog.(Cloneable)
-	if !ok {
-		return nil, false
+		panic(fmt.Sprintf("sim: %s of exited process %q", op, p.Name))
 	}
 	snap := &ProcSnapshot{
 		Name:    p.Name,
-		Prog:    cl.CloneProgram(),
-		HB:      p.HB.Clone(),
+		Prog:    p.prog,
+		HB:      p.HB,
 		Threads: make([]ThreadSnapshot, len(p.Threads)),
 		TakenAt: m.now,
 	}
@@ -216,8 +189,6 @@ func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
 			Blocked:    t.blocked,
 		}
 	}
-	// Copy (don't extract) the process's pending wakeups, in the (at, seq)
-	// order the source would fire them.
 	var mine []timerEntry
 	for _, e := range m.timers.entries {
 		if e.proc == p {
@@ -233,7 +204,7 @@ func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
 	for _, e := range mine {
 		snap.Wakeups = append(snap.Wakeups, WakeupSnapshot{Local: e.local, At: e.at, Units: e.units})
 	}
-	return snap, true
+	return snap
 }
 
 // Restore continues a checkpointed process on this machine: a new Process
@@ -266,50 +237,14 @@ func (m *Machine) restore(snap *ProcSnapshot, resumeAt Time, kind EventKind) *Pr
 	if resumeAt < m.now {
 		resumeAt = m.now
 	}
-	p := &Process{
-		ID:   len(m.procs),
-		Name: snap.Name,
-		m:    m,
-		prog: snap.Prog,
-		HB:   snap.HB,
-	}
-	if cs, ok := snap.Prog.(CacheSensitive); ok {
-		p.cacheBonus = cs.CacheBonus()
-	}
-	all := hmp.AllCPUs(m.plat)
+	p := m.newProcess(snap.Name, snap.Prog, snap.HB)
 	for i, ts := range snap.Threads {
-		t := &Thread{
-			Global:     len(m.threads),
-			Local:      i,
-			Proc:       p,
-			affinity:   all,
-			core:       -1,
-			blocked:    true,
-			lastRan:    -1,
-			workDone:   ts.WorkDone,
-			migrations: ts.Migrations,
-		}
-		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-			t.speedFactor[k] = snap.Prog.SpeedFactor(i, k)
-		}
-		p.Threads = append(p.Threads, t)
-		m.threads = append(m.threads, t)
-	}
-	for i, t := range p.Threads {
-		if i > 0 {
-			t.sibPrev = p.Threads[i-1]
-		}
-		if i+1 < len(p.Threads) {
-			t.sibNext = p.Threads[i+1]
-		}
-	}
-	m.procs = append(m.procs, p)
-	for i, ts := range snap.Threads {
+		t := p.Threads[i]
+		t.workDone, t.migrations = ts.WorkDone, ts.Migrations
 		if ts.Blocked || ts.Remaining <= 0 {
 			continue
 		}
 		if resumeAt <= m.now {
-			t := p.Threads[i]
 			t.remaining = ts.Remaining
 			m.makeRunnable(t)
 		} else {

@@ -489,26 +489,34 @@ func (m *Machine) Threads() []*Thread { return m.threads }
 // blocked and affine to every CPU, then calls the program's Start hook (which
 // typically hands out the first units of work).
 func (m *Machine) Spawn(name string, prog Program, hbWindow int) *Process {
+	if n := prog.NumThreads(); n <= 0 {
+		panic(fmt.Sprintf("sim: program %q declares %d threads", name, n))
+	}
+	p := m.newProcess(name, prog, heartbeat.NewMonitor(name, hbWindow))
+	prog.Start(p)
+	return p
+}
+
+// newProcess builds a process on the machine — the one constructor behind
+// Spawn and Restore: a fresh ID, one blocked, unplaced, all-CPU thread per
+// program thread linked to its siblings, and the steady-window plan sized
+// for the new thread count. The per-thread speed factors and the optional
+// cache-sharing bonus are resolved here once, so the hot execute path reads
+// plain fields instead of making an interface call and a type assertion per
+// thread per tick.
+func (m *Machine) newProcess(name string, prog Program, hb *heartbeat.Monitor) *Process {
 	p := &Process{
 		ID:   len(m.procs),
 		Name: name,
 		m:    m,
 		prog: prog,
-		HB:   heartbeat.NewMonitor(name, hbWindow),
+		HB:   hb,
 	}
-	n := prog.NumThreads()
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: program %q declares %d threads", name, n))
-	}
-	// Resolve the per-thread speed factors and the optional cache-sharing
-	// bonus once at spawn: the hot execute path then reads plain fields
-	// instead of making an interface call and a type assertion per thread
-	// per tick.
 	if cs, ok := prog.(CacheSensitive); ok {
 		p.cacheBonus = cs.CacheBonus()
 	}
 	all := hmp.AllCPUs(m.plat)
-	for i := 0; i < n; i++ {
+	for i, n := 0, prog.NumThreads(); i < n; i++ {
 		t := &Thread{
 			Global:   len(m.threads),
 			Local:    i,
@@ -521,20 +529,15 @@ func (m *Machine) Spawn(name string, prog Program, hbWindow int) *Process {
 		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 			t.speedFactor[k] = prog.SpeedFactor(i, k)
 		}
+		if i > 0 {
+			prev := p.Threads[i-1]
+			t.sibPrev, prev.sibNext = prev, t
+		}
 		p.Threads = append(p.Threads, t)
 		m.threads = append(m.threads, t)
 	}
-	for i, t := range p.Threads {
-		if i > 0 {
-			t.sibPrev = p.Threads[i-1]
-		}
-		if i+1 < len(p.Threads) {
-			t.sibNext = p.Threads[i+1]
-		}
-	}
 	m.procs = append(m.procs, p)
 	m.primeSteady()
-	prog.Start(p)
 	return p
 }
 

@@ -47,13 +47,6 @@ const (
 	// (Machine.Recover): like EvMigrateIn, Until carries the resume time
 	// after the charged restore delay.
 	EvRecover
-	// EvDecision is a fleet scheduler decision (package decision): Proc
-	// carries the application, Decision the monotonic decision ID, and
-	// Detail the rendered payload (kind, chosen node, outcome, margin,
-	// candidate scores). Opt-in: nothing emits these unless a decision
-	// sink feeds the tracer, and the CSV columns they add are gated on
-	// their presence so existing trace bytes are untouched.
-	EvDecision
 )
 
 // String names the event kind.
@@ -83,8 +76,6 @@ func (k EventKind) String() string {
 		return "node_up"
 	case EvRecover:
 		return "recover"
-	case EvDecision:
-		return "decision"
 	}
 	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
@@ -114,11 +105,6 @@ type Event struct {
 	// standalone machine). Stamped by the tracer from its Node tag, so
 	// multi-node traces merged into one stream stay attributable.
 	Node string
-	// Decision and Detail describe fleet scheduler decision events
-	// (EvDecision): Decision is the monotonic decision ID and Detail the
-	// pre-rendered decision payload. Zero/empty on every other kind.
-	Decision uint64
-	Detail   string
 }
 
 // Tracer records machine events up to a bounded capacity; beyond it, events
@@ -166,20 +152,13 @@ func (tr *Tracer) add(e Event) {
 
 // WriteCSV renders the trace as CSV (time_us,kind,proc,thread,from,to,
 // cluster,khz,temp_c). When any event carries a node tag the output
-// appends a trailing node column, and when any event is a scheduler
-// decision it appends decision/detail columns after that; traces without
-// either render exactly the historical format.
+// appends a trailing node column; untagged traces render exactly the
+// historical format.
 func (tr *Tracer) WriteCSV(w io.Writer) error {
 	tag := tr.Node != ""
-	dec := false
 	for i := range tr.events {
 		if tr.events[i].Node != "" {
 			tag = true
-		}
-		if tr.events[i].Kind == EvDecision {
-			dec = true
-		}
-		if tag && dec {
 			break
 		}
 	}
@@ -189,21 +168,9 @@ func (tr *Tracer) WriteCSV(w io.Writer) error {
 		}
 		return ""
 	}
-	decCols := func(e Event) string {
-		if !dec {
-			return ""
-		}
-		if e.Kind != EvDecision {
-			return ",,"
-		}
-		return fmt.Sprintf(",%d,%s", e.Decision, e.Detail)
-	}
 	header := "time_us,kind,proc,thread,from,to,cluster,khz,temp_c"
 	if tag {
 		header += ",node"
-	}
-	if dec {
-		header += ",decision,detail"
 	}
 	if _, err := fmt.Fprintln(w, header); err != nil {
 		return err
@@ -212,29 +179,27 @@ func (tr *Tracer) WriteCSV(w io.Writer) error {
 		var err error
 		switch e.Kind {
 		case EvMigrate:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,%d,%d,%d,,,%s%s\n", e.T, e.Kind, e.Proc, e.Thread, e.From, e.To, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,%s,%d,%d,%d,,,%s\n", e.T, e.Kind, e.Proc, e.Thread, e.From, e.To, node(e))
 		case EvDVFS:
-			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%s%s\n", e.T, e.Kind, e.Cluster, e.KHz, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%s\n", e.T, e.Kind, e.Cluster, e.KHz, node(e))
 		case EvBeat:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,,,,,,%s%s\n", e.T, e.Kind, e.Proc, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,%s,,,,,,%s\n", e.T, e.Kind, e.Proc, node(e))
 		case EvHotplug:
-			_, err = fmt.Fprintf(w, "%d,%s,,,%d,,,%t,%s%s\n", e.T, e.Kind, e.CPU, e.Online, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,%d,,,%t,%s\n", e.T, e.Kind, e.CPU, e.Online, node(e))
 		case EvCap:
-			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%s%s\n", e.T, e.Kind, e.Cluster, e.KHz, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%s\n", e.T, e.Kind, e.Cluster, e.KHz, node(e))
 		case EvTemp:
-			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,,%.3f%s%s\n", e.T, e.Kind, e.Cluster, e.TempC, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,,%.3f%s\n", e.T, e.Kind, e.Cluster, e.TempC, node(e))
 		case EvThrottle:
-			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%.3f%s%s\n", e.T, e.Kind, e.Cluster, e.KHz, e.TempC, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,,,%s,%d,%.3f%s\n", e.T, e.Kind, e.Cluster, e.KHz, e.TempC, node(e))
 		case EvMigrateOut:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,,,,,,%s%s\n", e.T, e.Kind, e.Proc, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,%s,,,,,,%s\n", e.T, e.Kind, e.Proc, node(e))
 		case EvMigrateIn:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,,,%d,,,%s%s\n", e.T, e.Kind, e.Proc, e.Until, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,%s,,,%d,,,%s\n", e.T, e.Kind, e.Proc, e.Until, node(e))
 		case EvNodeDown, EvNodeUp:
-			_, err = fmt.Fprintf(w, "%d,%s,,,,,,,%s%s\n", e.T, e.Kind, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,,,,,,,%s\n", e.T, e.Kind, node(e))
 		case EvRecover:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,,,%d,,,%s%s\n", e.T, e.Kind, e.Proc, e.Until, node(e), decCols(e))
-		case EvDecision:
-			_, err = fmt.Fprintf(w, "%d,%s,%s,,,,,,%s%s\n", e.T, e.Kind, e.Proc, node(e), decCols(e))
+			_, err = fmt.Fprintf(w, "%d,%s,%s,,,%d,,,%s\n", e.T, e.Kind, e.Proc, e.Until, node(e))
 		}
 		if err != nil {
 			return err
@@ -323,11 +288,6 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 			out = append(out, chromeEvent{
 				Name: prefix + "recover " + e.Proc, Phase: "i", TS: e.T, PID: 2,
 				Args: map[string]any{"resume_us": e.Until},
-			})
-		case EvDecision:
-			out = append(out, chromeEvent{
-				Name: prefix + "decision " + e.Proc, Phase: "i", TS: e.T, PID: 3,
-				Args: map[string]any{"id": e.Decision, "detail": e.Detail},
 			})
 		}
 	}

@@ -130,97 +130,7 @@ func TestEventKindString(t *testing.T) {
 	if sim.EvMigrate.String() != "migrate" || sim.EvDVFS.String() != "dvfs" || sim.EvBeat.String() != "beat" {
 		t.Error("event kind strings wrong")
 	}
-	if sim.EvDecision.String() != "decision" {
-		t.Error("decision kind string wrong")
-	}
 	if sim.EventKind(99).String() == "" {
 		t.Error("unknown kind should render")
-	}
-}
-
-// TestTraceCSVDecisionColumns pins the gated decision columns: a trace
-// without decision events renders the historical header and row widths
-// byte-for-byte, and one with them appends decision/detail columns — ",,"
-// padded on non-decision rows so every row keeps one width.
-func TestTraceCSVDecisionColumns(t *testing.T) {
-	run := func(withDecision bool) string {
-		m := sim.New(hmp.Default(), sim.Config{})
-		tr := &sim.Tracer{}
-		m.SetTracer(tr)
-		p := m.Spawn("app", &spinner{threads: 1, unit: 0.3, beats: true}, 4)
-		p.SetAffinity(0, hmp.MaskOf(0))
-		m.Run(1 * sim.Second)
-		if withDecision {
-			tr.Record(sim.Event{
-				T: m.Now(), Kind: sim.EvDecision, Proc: "app",
-				Decision: 7, Detail: "admit ->n0 placed margin=0x0p+00 n0:0x1p+00",
-			})
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-
-	plain := run(false)
-	if strings.Contains(plain, "decision") {
-		t.Fatal("decision column leaked into a decision-free trace")
-	}
-	if !strings.HasPrefix(plain, "time_us,kind,proc,thread,from,to,cluster,khz,temp_c\n") {
-		t.Fatalf("historical header changed:\n%s", plain[:60])
-	}
-
-	dec := run(true)
-	lines := strings.Split(strings.TrimSpace(dec), "\n")
-	if lines[0] != "time_us,kind,proc,thread,from,to,cluster,khz,temp_c,decision,detail" {
-		t.Fatalf("gated header = %q", lines[0])
-	}
-	wantCols := strings.Count(lines[0], ",")
-	var sawDecision bool
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != wantCols {
-			t.Fatalf("row width mismatch: %q", l)
-		}
-		if strings.Contains(l, ",decision,app,") {
-			sawDecision = true
-			if !strings.HasSuffix(l, ",7,admit ->n0 placed margin=0x0p+00 n0:0x1p+00") {
-				t.Fatalf("decision row payload wrong: %q", l)
-			}
-		}
-	}
-	if !sawDecision {
-		t.Fatal("decision row missing from CSV")
-	}
-}
-
-// TestTraceChromeDecision pins the Chrome rendering: decision records
-// become instant events on their own pid track with id and detail args.
-func TestTraceChromeDecision(t *testing.T) {
-	tr := &sim.Tracer{}
-	tr.Record(sim.Event{
-		T: 1000, Kind: sim.EvDecision, Proc: "app", Node: "n0",
-		Decision: 3, Detail: "admit ->n0 placed margin=0x0p+00",
-	})
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.TraceEvents) != 1 {
-		t.Fatalf("events = %+v", parsed.TraceEvents)
-	}
-	e := parsed.TraceEvents[0]
-	if e["name"] != "n0:decision app" || e["ph"] != "i" {
-		t.Fatalf("decision chrome event = %+v", e)
-	}
-	args := e["args"].(map[string]any)
-	if args["id"].(float64) != 3 || args["detail"] != "admit ->n0 placed margin=0x0p+00" {
-		t.Fatalf("decision args = %+v", args)
 	}
 }
