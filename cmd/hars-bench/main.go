@@ -11,7 +11,9 @@
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] ...
 //
 // -prev prints per-benchmark deltas (ns/op and allocs/op) against a previous
-// trajectory file, so a PR's before/after story is one flag away.
+// trajectory file, so a PR's before/after story is one flag away. Each file
+// records a machine fingerprint (CPU model, GOARCH, GOAMD64, GOMAXPROCS, CPU
+// count, Go version), and -prev warns loudly when the two differ.
 //
 // -count N runs every benchmark N times and records the median run (by
 // ns/op) in the trajectory file, printing the min/max spread alongside —
@@ -58,14 +60,18 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// File is the trajectory file schema.
+// File is the trajectory file schema. Its first fields fingerprint the
+// machine and build the results were taken on (see takeFingerprint).
 type File struct {
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	NumCPU    int      `json:"num_cpu"`
-	Benchtime string   `json:"benchtime"`
-	Results   []Result `json:"results"`
+	GoVersion  string   `json:"go_version"`
+	GOOS       string   `json:"goos"`
+	GOARCH     string   `json:"goarch"`
+	GOAMD64    string   `json:"goamd64,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	NumCPU     int      `json:"num_cpu"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Benchtime  string   `json:"benchtime"`
+	Results    []Result `json:"results"`
 }
 
 // ceilings is the repeatable -alloc-ceiling flag: benchmark name → maximum
@@ -150,12 +156,14 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	f := File{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Benchtime: "1s", // testing.Benchmark's built-in target
+	f := takeFingerprint()
+	f.Benchtime = "1s" // testing.Benchmark's built-in target
+	if prevFile != nil {
+		if diff := fingerprintDiff(f, *prevFile); len(diff) > 0 {
+			fmt.Fprintf(os.Stderr, "WARNING: %s was measured on another machine or build (%s).\n"+
+				"WARNING: the [vs prev] deltas below compare different fingerprints; they are not a measurement.\n",
+				*prev, strings.Join(diff, "; "))
+		}
 	}
 	for _, c := range bench.Cases() {
 		if re != nil && !re.MatchString(c.Name) {

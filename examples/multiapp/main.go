@@ -17,16 +17,6 @@ import (
 	"repro/internal/workload"
 )
 
-// soloMax measures one benchmark's maximum achievable rate running alone.
-func soloMax(plat *hmp.Platform, board *power.GroundTruth, short string) float64 {
-	b, _ := workload.ByShort(short)
-	m := sim.New(plat, sim.Config{Power: board})
-	m.SetPlacer(gts.New(plat))
-	p := m.Spawn(b.Name, b.New(8), 10)
-	m.Run(30 * sim.Second)
-	return p.HB.RateOver(12*sim.Second, m.Now())
-}
-
 func main() {
 	plat := hmp.Default()
 	board := power.DefaultGroundTruth(plat)
@@ -39,7 +29,9 @@ func main() {
 	names := [2]string{"BO", "FL"}
 	var targets [2]heartbeat.Target
 	for i, n := range names {
-		max := soloMax(plat, board, n)
+		// Solo maximum: the benchmark alone under GTS at the maximum state.
+		max := gts.Calibration{Plat: gts.PlatformKey(plat), Bench: n, Threads: 8,
+			Window: 10, Run: 30 * sim.Second, Skip: 12 * sim.Second}.MaxRate()
 		targets[i] = heartbeat.TargetAround(max, 0.50, 0.05)
 		fmt.Printf("%s: solo max %.2f hb/s, target %.2f\n", n, max, targets[i].Avg)
 	}

@@ -9,8 +9,8 @@ import (
 // parallel worker pool against equivalent environments and requires the
 // reports to be deeply identical: the engine may only change wall-clock
 // time, never results. Cheap drivers keep the test fast; every driver goes
-// through the same Env surface (machines per run, synchronized MaxRate
-// cache), so the property generalizes.
+// through the same Env surface (machines per run, the process-wide MaxRate
+// calibration), so the property generalizes.
 func TestEngineDeterminism(t *testing.T) {
 	drivers := []Driver{
 		{"table3.1", Table31},

@@ -88,16 +88,15 @@ func Full() Scale {
 
 // Env bundles the shared fixtures of all experiments: the platform, the
 // ground-truth power model (the "board"), the fitted linear power model (the
-// offline calibration of §5.1.1), and a cache of per-benchmark maximum
-// achievable rates.
+// offline calibration of §5.1.1), and the platform's content key for the
+// process-wide maximum-rate calibration (gts.Calibration).
 type Env struct {
 	Plat  *hmp.Platform
 	GT    *power.GroundTruth
 	Model *power.LinearModel
 	Scale Scale
 
-	mu       sync.Mutex
-	maxRates map[string]float64
+	platKey string
 }
 
 // NewEnv builds an environment: it profiles the board with the
@@ -110,11 +109,11 @@ func NewEnv(scale Scale) (*Env, error) {
 		return nil, fmt.Errorf("experiments: power profiling: %w", err)
 	}
 	return &Env{
-		Plat:     plat,
-		GT:       gt,
-		Model:    model,
-		Scale:    scale,
-		maxRates: make(map[string]float64),
+		Plat:    plat,
+		GT:      gt,
+		Model:   model,
+		Scale:   scale,
+		platKey: gts.PlatformKey(plat),
 	}, nil
 }
 
@@ -133,25 +132,12 @@ func (e *Env) newMachine() *sim.Machine {
 	return sim.New(e.Plat, sim.Config{Power: e.GT})
 }
 
-// MaxRate measures (and caches) the maximum achievable heartbeat rate of a
-// benchmark: the baseline run at maximum core count and frequency under the
-// Linux HMP scheduler.
+// MaxRate returns the maximum achievable heartbeat rate of a benchmark: the
+// baseline run at maximum core count and frequency under the Linux HMP
+// scheduler, calibrated once per process for the environment's scale.
 func (e *Env) MaxRate(b workload.Benchmark) float64 {
-	e.mu.Lock()
-	if r, ok := e.maxRates[b.Short]; ok {
-		e.mu.Unlock()
-		return r
-	}
-	e.mu.Unlock()
-	m := e.newMachine()
-	m.SetPlacer(gts.New(e.Plat))
-	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
-	m.Run(e.Scale.CalibTime)
-	rate := p.HB.RateOver(e.Scale.CalibSkip, m.Now())
-	e.mu.Lock()
-	e.maxRates[b.Short] = rate
-	e.mu.Unlock()
-	return rate
+	return gts.Calibration{Plat: e.platKey, Bench: b.Short, Threads: e.Scale.Threads,
+		Window: e.Scale.HBWindow, Run: e.Scale.CalibTime, Skip: e.Scale.CalibSkip}.MaxRate()
 }
 
 // Target builds the paper's performance target for a benchmark: frac of the

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/gts"
 	"repro/internal/hmp"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -38,6 +41,26 @@ func TestEnvCalibrationCached(t *testing.T) {
 	tgt := e.Target(b, 0.5)
 	if tgt.Avg <= tgt.Min || tgt.Max <= tgt.Avg {
 		t.Fatalf("bad target %+v", tgt)
+	}
+}
+
+// TestEnvMaxRateMatchesInlineCalibration pins Env.MaxRate, a lookup in the
+// process-wide GTS calibration, bit for bit against the calibration the
+// environment once ran inline: a machine carrying the board's ground-truth
+// power model, at the environment's scale. The shared calibration runs
+// without a power model, so this is also the proof that the heartbeat rate
+// does not depend on one.
+func TestEnvMaxRateMatchesInlineCalibration(t *testing.T) {
+	e := testEnv(t)
+	for _, b := range workload.AllExtended() {
+		m := sim.New(e.Plat, sim.Config{Power: e.GT})
+		m.SetPlacer(gts.New(e.Plat))
+		p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
+		m.Run(e.Scale.CalibTime)
+		want := p.HB.RateOver(e.Scale.CalibSkip, m.Now())
+		if got := e.MaxRate(b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: MaxRate %v, inline calibration %v", b.Short, got, want)
+		}
 	}
 }
 

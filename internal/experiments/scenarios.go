@@ -41,8 +41,8 @@ func ScenarioSweep(e *Env) *Report {
 		rows[i].res, rows[i].err = scenario.Run(rows[i].sc, scenario.Options{
 			Strict: true,
 			MaxRate: func(short string, threads int) float64 {
-				// Reuse the environment's synchronized calibration cache
-				// (keyed per benchmark at the scale's thread count).
+				// Reuse the environment's calibration (the process-wide
+				// GTS calibration at the scale's thread count and run length).
 				b, _ := workload.ByShort(short)
 				return e.MaxRate(b)
 			},

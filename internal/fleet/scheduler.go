@@ -149,10 +149,6 @@ func (a *App) Migrations() int { return a.migrations }
 // delay (the SLO-aware policy does).
 func (a *App) Recovering() bool { return a.recovering }
 
-// Retries returns the app's consecutive failed-transfer count since its
-// last successful admission.
-func (a *App) Retries() int { return a.retries }
-
 // Config tunes the scheduler. The zero value selects the least-loaded
 // policy, a 250 ms saturation check, and a two-core migration destination
 // floor.

@@ -25,7 +25,7 @@ import (
 
 // Options configures a scenario run. The zero value selects the default
 // platform, the ground-truth power model, the synthetic linear estimator
-// model, engine-local max-rate calibration, and no trace output.
+// model, the process-wide max-rate calibration, and no trace output.
 //
 // Plat, Power, and Model apply to the legacy single machine only: a
 // scenario declaring nodes owns its platforms (each node builds its own
@@ -37,11 +37,11 @@ type Options struct {
 	Model *power.LinearModel // manager estimator model; default DefaultModel
 
 	// MaxRate resolves a benchmark's maximum achievable heartbeat rate for
-	// fractional targets. Nil selects an engine-local calibration run per
-	// (bench, threads, node) tuple (deterministic, cached for the run).
-	// A non-nil override is consulted for every node — callers supplying
-	// one to a multi-node scenario with heterogeneous platforms are
-	// responsible for the rates making sense on every node.
+	// fractional targets. Nil selects the GTS calibration of gts.Calibration,
+	// run once per process for each (board content, bench, threads). A
+	// non-nil override is consulted on every admission, for every node —
+	// callers supplying one to a multi-node scenario with heterogeneous
+	// platforms are responsible for the rates making sense on every node.
 	MaxRate func(short string, threads int) float64
 
 	// Trace, when non-nil, receives the per-sample metric trace (see the
@@ -400,7 +400,6 @@ type engine struct {
 	appSpecs  []AppSpec // declared apps + arrival-stream expansions
 	ckptCost  sim.CheckpointCost
 
-	rates map[string]float64 // max-rate cache: "short/threads/node"
 	trace *bufio.Writer
 	out   io.Writer // trace sink: the digest hash, plus Options.Trace if set
 	hash  interface {
@@ -451,7 +450,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		sc: sc, opts: opts, fleetMode: fleetMode,
 		appSpecs: appSpecs,
 		ckptCost: ckptCost,
-		rates:    make(map[string]float64),
 		hash:     fnv.New64a(),
 	}
 	out := io.Writer(e.hash)
@@ -1350,29 +1348,14 @@ func (e *engine) target(explicit *TargetSpec, frac float64, bench string, thread
 	return heartbeat.TargetAround(e.maxRate(bench, threads, nr), frac, 0.05)
 }
 
-// maxRate measures (and caches) a benchmark's maximum achievable heartbeat
-// rate on one node's platform: a short unmanaged run under the GTS
-// scheduler at the platform maximum, mirroring the experiments
-// environment's calibration. The cache keys on the platform instance, so
-// nodes sharing a platform (every default-board node) calibrate once.
+// maxRate is a benchmark's maximum achievable heartbeat rate on one node's
+// board: the Options.MaxRate override, or the board's GTS calibration.
 func (e *engine) maxRate(bench string, threads int, nr *nodeRun) float64 {
-	key := fmt.Sprintf("%s/%d/%p", bench, threads, nr.rn.plat)
-	if r, ok := e.rates[key]; ok {
-		return r
-	}
-	var r float64
 	if e.opts.MaxRate != nil {
-		r = e.opts.MaxRate(bench, threads)
-	} else {
-		b, _ := workload.ByShort(bench)
-		cm := sim.New(nr.rn.plat, sim.Config{})
-		cm.SetPlacer(gts.New(nr.rn.plat))
-		p := cm.Spawn(b.Name, b.New(threads), 10)
-		cm.Run(20 * sim.Second)
-		r = p.HB.RateOver(8*sim.Second, cm.Now())
+		return e.opts.MaxRate(bench, threads)
 	}
-	e.rates[key] = r
-	return r
+	return gts.Calibration{Plat: nr.rn.platKey, Bench: bench, Threads: threads,
+		Window: 10, Run: 20 * sim.Second, Skip: 8 * sim.Second}.MaxRate()
 }
 
 // scoreSLO scores each SLO'd application at every trace sample: a miss is

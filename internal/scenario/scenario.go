@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/gts"
 	"repro/internal/hmp"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -327,6 +330,7 @@ type resolvedNode struct {
 	idx         int
 	name        string // "" for the legacy single node
 	plat        *hmp.Platform
+	platKey     string // gts.PlatformKey(plat)
 	manager     string
 	adaptEvery  int64
 	overheadCPU int
@@ -336,6 +340,13 @@ type resolvedNode struct {
 func (rn *resolvedNode) thermalOn() bool {
 	return rn.thermal != nil && rn.thermal.Enabled
 }
+
+// defaultBoard is the platform of every fleet node that declares none: one
+// hmp.Default() instance and its content key, shared process-wide.
+var defaultBoard = sync.OnceValues(func() (*hmp.Platform, string) {
+	p := hmp.Default()
+	return p, gts.PlatformKey(p)
+})
 
 // resolveNodes expands the scenario's node list against defaults: a
 // scenario without nodes becomes one legacy node on plat (or the default
@@ -351,17 +362,17 @@ func (sc *Scenario) resolveNodes(plat *hmp.Platform) ([]resolvedNode, error) {
 			return nil, err
 		}
 		return []resolvedNode{{
-			idx: 0, plat: plat, manager: sc.Manager,
+			idx: 0, plat: plat, platKey: gts.PlatformKey(plat), manager: sc.Manager,
 			adaptEvery: sc.AdaptEvery, overheadCPU: sc.OverheadCPU,
 			thermal: sc.Thermal,
 		}}, nil
 	}
 	out := make([]resolvedNode, 0, len(sc.Nodes))
 	seen := make(map[string]bool, len(sc.Nodes))
-	// Nodes without their own platform share one default instance, so
-	// platform-keyed caches (the engine's max-rate calibration) dedupe
-	// across them.
-	var sharedDefault *hmp.Platform
+	// Boards are interned by content: nodes with identical platforms share
+	// one instance and its key, computed once per distinct board (nothing
+	// mutates a platform after resolution).
+	var boards []resolvedNode // plat and platKey of each distinct board
 	for i := range sc.Nodes {
 		ns := &sc.Nodes[i]
 		if ns.Name == "" {
@@ -371,17 +382,23 @@ func (sc *Scenario) resolveNodes(plat *hmp.Platform) ([]resolvedNode, error) {
 			return nil, fmt.Errorf("scenario: duplicate node name %q", ns.Name)
 		}
 		seen[ns.Name] = true
-		nplat := ns.Platform
-		if nplat == nil {
-			if sharedDefault == nil {
-				sharedDefault = hmp.Default()
-			}
-			nplat = sharedDefault
-		} else {
-			if err := nplat.Validate(); err != nil {
+		nplat, key := defaultBoard()
+		if p := ns.Platform; p != nil {
+			if err := p.Validate(); err != nil {
 				return nil, fmt.Errorf("scenario: node %q: %w", ns.Name, err)
 			}
-			nplat.Normalize()
+			p.Normalize()
+			nplat, key = p, ""
+			for _, b := range boards {
+				if reflect.DeepEqual(b.plat, p) {
+					nplat, key = b.plat, b.platKey
+					break
+				}
+			}
+			if key == "" {
+				key = gts.PlatformKey(p)
+				boards = append(boards, resolvedNode{plat: p, platKey: key})
+			}
 		}
 		mgr := ns.Manager
 		if mgr == "" {
@@ -409,7 +426,7 @@ func (sc *Scenario) resolveNodes(plat *hmp.Platform) ([]resolvedNode, error) {
 			return nil, err
 		}
 		out = append(out, resolvedNode{
-			idx: i, name: ns.Name, plat: nplat, manager: mgr,
+			idx: i, name: ns.Name, plat: nplat, platKey: key, manager: mgr,
 			adaptEvery: adapt, overheadCPU: ohCPU, thermal: th,
 		})
 	}
