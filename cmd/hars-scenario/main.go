@@ -46,60 +46,79 @@ import (
 	"repro/internal/scenario"
 )
 
-func main() {
-	in := flag.String("in", "", "scenario JSON to replay")
-	gen := flag.Bool("gen", false, "generate a random scenario instead of reading one")
-	seed := flag.Int64("seed", 1, "generator seed (-gen)")
-	manager := flag.String("manager", scenario.ManagerMPHARSI, "generated scenario's manager kind (-gen)")
-	apps := flag.Int("apps", 3, "generated scenario's maximum app count (-gen)")
-	events := flag.Int("events", 6, "generated scenario's dynamic event count (-gen)")
-	duration := flag.Int64("duration", 20000, "generated scenario's duration in ms (-gen)")
-	nodes := flag.Int("nodes", 0, "generated scenario's fleet size; 0 = classic single machine (-gen)")
-	placement := flag.String("placement", "", "generated fleet's placement policy; empty draws one from the seed (-gen)")
-	genFaults := flag.Bool("faults", false, "generated fleet scenario gets a seeded faults block (-gen)")
-	write := flag.String("write", "", "save the generated scenario JSON here (-gen)")
-	tracePath := flag.String("trace", "", "trace output file (default stdout)")
-	strict := flag.Bool("strict", false, "verify runtime invariants after every action and sample")
-	check := flag.Bool("check", false, "verify runtime invariants after every tick (debug; slower)")
-	summary := flag.String("summary", "text", `summary format: "text" (stderr) or "json" (stdout, byte-stable field order)`)
-	lockstep := flag.Bool("lockstep", false, "force the reference per-tick fleet advancement instead of the event-driven core (bit-identical; for benchmarking)")
-	steady := flag.Bool("steady", true, "steady-phase turbo path on busy machines; -steady=false forces the general per-tick loop (bit-identical; for benchmarking)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	workers := flag.Int("workers", 1, "shard node advancement between fleet decision points across N goroutines (any width is byte-identical)")
-	traceDecisions := flag.Bool("trace-decisions", false, "emit every scheduler decision as a d trace line with its scored candidate set")
-	counterfactual := flag.Int64("counterfactual", -1, "fork the run at this decision ID: force each top-k alternative and report per-alternative regret")
-	counterfactualK := flag.Int("counterfactual-k", 3, "how many alternative candidates -counterfactual replays")
-	genDecisions := flag.Bool("decisions", false, "generated scenario gets an enabled decisions block (-gen)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the trace or JSON
+// summary to stdout and the text summary and diagnostics to stderr, and
+// returns the exit code — 0 on success, 1 when the scenario fails to load
+// or run, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("hars-scenario", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "scenario JSON to replay")
+	gen := fs.Bool("gen", false, "generate a random scenario instead of reading one")
+	seed := fs.Int64("seed", 1, "generator seed (-gen)")
+	manager := fs.String("manager", scenario.ManagerMPHARSI, "generated scenario's manager kind (-gen)")
+	apps := fs.Int("apps", 3, "generated scenario's maximum app count (-gen)")
+	events := fs.Int("events", 6, "generated scenario's dynamic event count (-gen)")
+	duration := fs.Int64("duration", 20000, "generated scenario's duration in ms (-gen)")
+	nodes := fs.Int("nodes", 0, "generated scenario's fleet size; 0 = classic single machine (-gen)")
+	placement := fs.String("placement", "", "generated fleet's placement policy; empty draws one from the seed (-gen)")
+	genFaults := fs.Bool("faults", false, "generated fleet scenario gets a seeded faults block (-gen)")
+	write := fs.String("write", "", "save the generated scenario JSON here (-gen)")
+	tracePath := fs.String("trace", "", "trace output file (default stdout)")
+	strict := fs.Bool("strict", false, "verify runtime invariants after every action and sample")
+	check := fs.Bool("check", false, "verify runtime invariants after every tick (debug; slower)")
+	summary := fs.String("summary", "text", `summary format: "text" (stderr) or "json" (stdout, byte-stable field order)`)
+	lockstep := fs.Bool("lockstep", false, "force the reference per-tick fleet advancement instead of the event-driven core (bit-identical; for benchmarking)")
+	steady := fs.Bool("steady", true, "steady-phase turbo path on busy machines; -steady=false forces the general per-tick loop (bit-identical; for benchmarking)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	traceDecisions := fs.Bool("trace-decisions", false, "emit every scheduler decision as a d trace line with its scored candidate set")
+	counterfactual := fs.Int64("counterfactual", -1, "fork the run at this decision ID: force each top-k alternative and report per-alternative regret")
+	counterfactualK := fs.Int("counterfactual-k", 3, "how many alternative candidates -counterfactual replays")
+	genDecisions := fs.Bool("decisions", false, "generated scenario gets an enabled decisions block (-gen)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *summary != "text" && *summary != "json" {
-		fmt.Fprintf(os.Stderr, "unknown -summary format %q (want text or json)\n", *summary)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -summary format %q (want text or json)\n", *summary)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		// Written on the way out of every non-error return path; fatal()
-		// exits without profiles, which is fine — those runs produced no
-		// result worth profiling.
+		// Written on the way out of successful runs only: a failed run
+		// produced no result worth profiling.
 		defer func() {
+			if code != 0 {
+				return
+			}
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
@@ -120,32 +139,33 @@ func main() {
 		if *write != "" {
 			f, err := os.Create(*write)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := sc.Encode(f); err != nil {
-				fatal(err)
+				f.Close()
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *write)
+			fmt.Fprintf(stderr, "wrote %s\n", *write)
 		}
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		sc, err = scenario.Decode(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "need -in <scenario.json> or -gen (see -h)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -in <scenario.json> or -gen (see -h)")
+		return 2
 	}
 
-	var trace io.Writer = os.Stdout
+	trace := stdout
 	if *summary == "json" {
 		// The JSON summary owns stdout; the trace digest is still computed
 		// (and reported) over the discarded bytes.
@@ -154,7 +174,7 @@ func main() {
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		trace = f
@@ -162,38 +182,41 @@ func main() {
 
 	opts := scenario.Options{
 		Trace: trace, Strict: *strict, CheckEveryTick: *check,
-		Lockstep: *lockstep, NoSteady: !*steady, Workers: *workers,
+		Lockstep: *lockstep, NoSteady: !*steady,
 		TraceDecisions: *traceDecisions,
 	}
 
 	if *counterfactual >= 0 {
 		cf, err := scenario.RunCounterfactual(sc, opts, uint64(*counterfactual), *counterfactualK)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *summary == "json" {
-			if err := writeJSONCounterfactual(os.Stdout, sc, cf); err != nil {
-				fatal(err)
+			if err := writeJSONCounterfactual(stdout, sc, cf); err != nil {
+				return fail(err)
 			}
-			return
+			return 0
 		}
-		writeTextCounterfactual(os.Stderr, sc, cf)
-		return
+		writeTextCounterfactual(stderr, sc, cf)
+		return 0
 	}
 
 	res, err := scenario.Run(sc, opts)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
 	if *summary == "json" {
-		if err := writeJSONSummary(os.Stdout, sc, res); err != nil {
-			fatal(err)
+		if err := writeJSONSummary(stdout, sc, res); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
+	writeTextSummary(stderr, sc, res)
+	return 0
+}
 
-	w := os.Stderr
+// writeTextSummary renders the run's human-readable summary.
+func writeTextSummary(w io.Writer, sc *scenario.Scenario, res *scenario.Result) {
 	fleetRun := len(sc.Nodes) > 0
 	if fleetRun {
 		fmt.Fprintf(w, "scenario %s: manager %s, %d nodes (placement %s), %d apps, %d events, %d ms\n",
@@ -545,9 +568,4 @@ func writeTextCounterfactual(w io.Writer, sc *scenario.Scenario, cf *scenario.Co
 	}
 	rm, re := cf.Regret()
 	fmt.Fprintf(w, "regret: %d slo misses, %.1f J\n", rm, re)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -60,9 +60,9 @@
 // event-driven: a node that provably has nothing to do
 // (sim.Machine.SteadyUntil certifies an idle window, in which every
 // per-tick phase is a no-op) jumps its clock to its next event instead of
-// stepping, the fleet advances to the earliest wake time its scheduler
-// hooks report (fleet.Sleeper), and node advancement can shard across
-// workers with a deterministic merge. The fast path is an execution
+// stepping, and the fleet advances to the earliest wake time its scheduler
+// hooks report (fleet.Sleeper), bringing its nodes there one after another
+// in index order. The fast path is an execution
 // strategy, not a semantic change — traces and digests are bit-for-bit
 // identical to per-tick lockstep, which remains available as a reference
 // (fleet.Fleet.SetLockstep, hars-scenario -lockstep). Placement is
@@ -144,7 +144,7 @@
 // per-decision stream is opt-in ("decisions" scenario block,
 // -trace-decisions) and renders as "d," trace lines — scores in hex
 // floats so the stream is byte-stable, and byte-identical whether the
-// fleet runs lockstep, event-driven, or worker-sharded. With tracing
+// fleet runs lockstep or event-driven. With tracing
 // disabled every golden digest reproduces bit-for-bit.
 //
 // Because runs are deterministic, a recorded decision can be replayed
@@ -195,12 +195,10 @@
 //   - The fleet core itself is engineered for thousand-node fleets: the
 //     number of barriers tracks activity, not ticks, and each barrier's
 //     scheduler work is a few O(nodes) passes (partition reconcile, the
-//     failure detector, NextWake's deadline and heal scan); node
-//     advancement between barriers runs on a persistent worker pool fed
-//     by a chunked cursor instead of spawning goroutines per barrier;
-//     and bit-identical idle nodes share one
-//     energy-replay computation per idle window through a bit-exact-keyed
-//     cache (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
+//     failure detector, NextWake's deadline and heal scan); and between
+//     barriers, bit-identical idle nodes share one energy-replay
+//     computation per idle window through a bit-exact-keyed cache
+//     (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the
 //     hars-bench -alloc-ceiling guard in CI.
 //   - Busy machines get the same treatment as idle ones, through the same

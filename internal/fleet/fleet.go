@@ -19,15 +19,14 @@
 // tick in index order, then runs the fleet-wide hooks. RunUntil, however,
 // is discrete-event: it asks every hook implementing Sleeper for its next
 // wake time, takes the minimum as a barrier, advances each node to the
-// barrier independently (machines run their own certified windows via
-// sim.Machine.SteadyUntil/RunSteady, and node advancement can be sharded
-// across workers — see SetWorkers), and runs the hooks once at the
-// barrier. The skipped hook invocations are certified no-ops by the
-// Sleeper contract, so the walk visits exactly the states lockstep would:
-// every digest, counter, and trace byte is bit-for-bit identical. A hook
-// that does not implement Sleeper (or one that wants to run now) drops the
-// fleet back to per-tick lockstep, which is always correct. SetLockstep
-// forces the reference path outright.
+// barrier independently, one node after another in index order (machines
+// run their own certified windows via sim.Machine.SteadyUntil/RunSteady),
+// and runs the hooks once at the barrier. The skipped hook invocations are
+// certified no-ops by the Sleeper contract, so the walk visits exactly the
+// states lockstep would: every digest, counter, and trace byte is
+// bit-for-bit identical. A hook that does not implement Sleeper (or one
+// that wants to run now) drops the fleet back to per-tick lockstep, which
+// is always correct. SetLockstep forces the reference path outright.
 //
 // # Barrier cost
 //
@@ -38,12 +37,10 @@
 // deadlines and pending heals. The scan is the same order as the passes
 // the barrier runs anyway, so an incremental wake structure could save at
 // most part of one of them; a plain scan keeps one NextWake with nothing
-// to keep in sync. Node advancement between barriers reuses a persistent
-// worker pool (no per-barrier goroutine spawn) fed by a chunked atomic
-// counter, and machines route their idle windows' energy replay through
-// per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet replays
-// the energy accumulation of each distinct machine state once instead of
-// once per node.
+// to keep in sync. Between barriers, machines route their idle windows'
+// energy replay through one fleet-wide sim.JumpCache, so a barrier over a
+// mostly-idle fleet replays the energy accumulation of each distinct
+// machine state once instead of once per node.
 //
 // # Determinism
 //
@@ -51,20 +48,16 @@
 // tick, scheduler decisions happen at tick boundaries with fixed
 // tie-breaking (policy score, then node index), and the queue drains FIFO.
 // Replaying the same node set and arrival sequence produces bit-identical
-// machines — whatever the advancement strategy or worker count, because
-// nodes evolve independently between hook barriers and results merge in
-// index order (the width-independence discipline the experiments engine
-// pins with TestEngineDeterminism). A fleet of one node is bit-for-bit the
-// bare machine run — the Node wrapper adds no behaviour — which is what
-// lets the scenario engine route every run, single- or multi-node, through
-// this layer.
+// machines — whatever the advancement strategy, because nodes evolve
+// independently between hook barriers (the per-node controllers HARS and
+// MARS keep independent between coordinator decisions). A fleet of one
+// node is bit-for-bit the bare machine run — the Node wrapper adds no
+// behaviour — which is what lets the scenario engine route every run,
+// single- or multi-node, through this layer.
 package fleet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hmp"
 	"repro/internal/mphars"
@@ -208,10 +201,10 @@ type Sleeper interface {
 // ticks each node once, in index order, then runs the fleet-wide hooks.
 // RunUntil additionally jumps stretches no hook or node cares about (see
 // the package comment). Each node traces to its own sim.Tracer, if any:
-// between barriers nodes advance one after another, or concurrently under
-// SetWorkers, so a tracer shared by two nodes would receive node-major
-// bytes and racing writes. New rejects a shared tracer; attaching one later
-// is a caller error.
+// between barriers nodes advance one after another, so a tracer shared by
+// two nodes would receive node-major bytes instead of lockstep's
+// tick-major ones. New rejects a shared tracer; attaching one later is a
+// caller error.
 type Fleet struct {
 	nodes []*Node
 	tick  sim.Time
@@ -224,13 +217,9 @@ type Fleet struct {
 	allSleepers bool
 
 	lockstep bool
-	workers  int
 
-	// jump is the idle-window replay memo for sequential advancement; pool
-	// workers carry their own.
+	// jump is the idle-window replay memo shared by every node's advance.
 	jump *sim.JumpCache
-
-	pool *advancePool
 }
 
 // New builds a fleet over the given nodes. All nodes must share one tick
@@ -263,7 +252,7 @@ func New(nodes ...*Node) (*Fleet, error) {
 				n.Name, n.Now(), nodes[0].Name, now)
 		}
 	}
-	return &Fleet{nodes: nodes, tick: tick, allSleepers: true}, nil
+	return &Fleet{nodes: nodes, tick: tick, allSleepers: true, jump: sim.NewJumpCache()}, nil
 }
 
 // Nodes returns the fleet's nodes in index order.
@@ -303,14 +292,6 @@ func (f *Fleet) SetSteady(on bool) {
 		n.Machine.SetSteady(on)
 	}
 }
-
-// SetWorkers shards node advancement between hook barriers across a
-// persistent pool of w goroutines fed through a chunked work cursor. Nodes
-// evolve independently between barriers, so any width — including 1, the
-// default — produces identical results; the merge back to fleet order is
-// by node index. Workers advance nodes concurrently, which is safe only
-// under the one-tracer-per-node rule (see Fleet). Ignored in lockstep mode.
-func (f *Fleet) SetWorkers(w int) { f.workers = w }
 
 // Step advances every node by one tick (index order), then runs the hooks.
 func (f *Fleet) Step() {
@@ -355,104 +336,15 @@ func (f *Fleet) RunUntil(t sim.Time) {
 	}
 }
 
-// advanceTo brings every node to the barrier. Nodes are independent between
-// hook barriers, so each machine can run ahead on its own (through its
-// certified windows), sequentially or sharded across the persistent worker
-// pool.
+// advanceTo brings every node to the barrier, one after another in index
+// order. Nodes are independent between hook barriers, so each machine runs
+// ahead on its own through its certified windows, replaying idle-window
+// energy through the fleet's shared JumpCache.
 func (f *Fleet) advanceTo(to sim.Time) {
-	w := f.workers
-	if w > len(f.nodes) {
-		w = len(f.nodes)
-	}
-	if w <= 1 {
-		if f.jump == nil {
-			f.jump = sim.NewJumpCache()
-		}
-		for _, n := range f.nodes {
-			n.RunUntilCached(to, f.jump)
-		}
-		return
-	}
-	if f.pool == nil || f.pool.width != w {
-		if f.pool != nil {
-			f.pool.stop()
-		} else {
-			// The workers reference only the pool, never the Fleet, so an
-			// abandoned fleet stays collectable; its finalizer releases
-			// whichever pool is current then.
-			runtime.SetFinalizer(f, func(f *Fleet) { f.pool.stop() })
-		}
-		f.pool = newAdvancePool(f.nodes, w)
-	}
-	f.pool.advance(to)
-}
-
-// advancePool is the fleet's persistent node-advancement crew: width
-// long-lived goroutines fed per barrier through a chunked atomic cursor
-// (dynamic feeding — a worker stuck on the one busy node does not strand
-// the idle tail behind a static stride) instead of spawning goroutines
-// every barrier. Nodes mutate only themselves and the cursor hand-off
-// happens-before each chunk, so any width and any chunk interleaving
-// produce identical machines; each worker keeps a private sim.JumpCache,
-// which affects wall-clock only.
-type advancePool struct {
-	width int
-	chunk int
-	nodes []*Node
-	next  atomic.Int64
-	wg    sync.WaitGroup
-	work  chan sim.Time
-}
-
-func newAdvancePool(nodes []*Node, width int) *advancePool {
-	p := &advancePool{width: width, nodes: nodes, work: make(chan sim.Time)}
-	// ~4 chunks per worker: coarse enough that the cursor is not contended,
-	// fine enough that one busy node cannot serialize a whole stride.
-	p.chunk = len(nodes) / (width * 4)
-	if p.chunk < 1 {
-		p.chunk = 1
-	}
-	for g := 0; g < width; g++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *advancePool) worker() {
-	jc := sim.NewJumpCache()
-	for to := range p.work {
-		for {
-			lo := int(p.next.Add(int64(p.chunk))) - p.chunk
-			if lo >= len(p.nodes) {
-				break
-			}
-			hi := lo + p.chunk
-			if hi > len(p.nodes) {
-				hi = len(p.nodes)
-			}
-			for _, n := range p.nodes[lo:hi] {
-				n.RunUntilCached(to, jc)
-			}
-		}
-		p.wg.Done()
+	for _, n := range f.nodes {
+		n.RunUntilCached(to, f.jump)
 	}
 }
-
-// advance brings every node to the barrier using the pool and returns when
-// all have arrived. Allocation-free: the barrier hand-off is one channel
-// send per worker.
-func (p *advancePool) advance(to sim.Time) {
-	p.next.Store(0)
-	p.wg.Add(p.width)
-	for g := 0; g < p.width; g++ {
-		p.work <- to
-	}
-	p.wg.Wait()
-}
-
-// stop releases the pool's goroutines. Idempotence is not needed: the fleet
-// replaces the pool pointer whenever it stops one.
-func (p *advancePool) stop() { close(p.work) }
 
 // EnergyJ returns the fleet-wide energy rollup: the sum over nodes.
 func (f *Fleet) EnergyJ() float64 {

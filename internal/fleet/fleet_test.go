@@ -507,9 +507,8 @@ func TestFleetValidation(t *testing.T) {
 }
 
 // TestFleetRejectsSharedTracer pins the one-tracer-per-node rule: nodes
-// advance independently (and concurrently under SetWorkers) between
-// barriers, so two nodes writing one tracer would interleave node-major
-// and race. Distinct tracers are fine.
+// advance independently between barriers, so two nodes writing one tracer
+// would interleave node-major. Distinct tracers are fine.
 func TestFleetRejectsSharedTracer(t *testing.T) {
 	n0, n1 := newMPNode(0, "n0", hmp.Default()), newMPNode(1, "n1", hmp.Default())
 	tr := &sim.Tracer{}

@@ -314,9 +314,20 @@ func (s *Scheduler) Arrive(app *App) {
 	if s.tryAdmit(app) {
 		return
 	}
+	s.enqueue(app)
+}
+
+// enqueue puts an application at the back of the admission queue, off any
+// node, stamped with the time it joined. It counts toward queuedTotal only
+// once per lifetime: Stats.Queued counts arrivals that waited, not waits.
+func (s *Scheduler) enqueue(app *App) {
 	app.state = appQueued
-	app.everQueued = true
-	s.queuedTotal++
+	app.node = nil
+	app.queuedAt = s.f.Now()
+	if !app.everQueued {
+		app.everQueued = true
+		s.queuedTotal++
+	}
 	s.queue = append(s.queue, app)
 }
 
@@ -458,18 +469,11 @@ func (s *Scheduler) recoverNode(n *Node) {
 			continue
 		}
 		s.fhost.Salvage(n, app)
-		app.state = appQueued
-		app.node = nil
 		app.recovering = true
 		app.retries = 0
 		app.nextTryAt = 0
-		app.queuedAt = s.f.Now()
 		s.recovered++
-		if !app.everQueued {
-			app.everQueued = true
-			s.queuedTotal++
-		}
-		s.queue = append(s.queue, app)
+		s.enqueue(app)
 	}
 }
 
@@ -740,17 +744,8 @@ func (s *Scheduler) migratePass() {
 			s.record(decision.Migrate, victim, src, p, decision.OutcomeNoCapacity)
 		}
 		// Capacity vanished mid-move (or the transfer failed): the app
-		// rejoins the queue and a later drain re-places it. It counts
-		// toward queuedTotal only once per lifetime (Stats.Queued counts
-		// arrivals that waited, not waits).
-		victim.state = appQueued
-		victim.node = nil
-		victim.queuedAt = now
-		if !victim.everQueued {
-			victim.everQueued = true
-			s.queuedTotal++
-		}
-		s.queue = append(s.queue, victim)
+		// rejoins the queue and a later drain re-places it.
+		s.enqueue(victim)
 	}
 }
 

@@ -254,12 +254,12 @@
 // by kind, gated migrations, mean score margin, admission queue-wait
 // histogram) is maintained regardless.
 //
-// Decisions happen inside fleet hook ticks on the main goroutine, so the
-// decision stream is byte-identical across the lockstep, event-driven, and
-// worker-sharded cores, and decision IDs are assigned whether or not the
-// stream is recorded. That is what makes counterfactual replay exact:
-// Options.ForceDecisions (hars-scenario -counterfactual <id>
-// [-counterfactual-k N]) re-runs the scenario forcing one recorded
+// Decisions happen inside fleet hook ticks, so the decision stream is
+// byte-identical across the lockstep and event-driven cores, and decision
+// IDs are assigned whether or not the stream is recorded. That is what
+// makes counterfactual replay exact: Options.ForceDecisions (hars-scenario
+// -counterfactual <id> [-counterfactual-k N]) re-runs the scenario forcing
+// one recorded
 // decision to each of its top-k alternative candidates in turn
 // (RunCounterfactual); everything before the forked decision is
 // bit-identical by determinism, and the report carries each alternative's

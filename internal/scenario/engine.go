@@ -23,19 +23,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configures a scenario run. The zero value selects the default
-// platform, the ground-truth power model, the synthetic linear estimator
-// model, the process-wide max-rate calibration, and no trace output.
-//
-// Plat, Power, and Model apply to the legacy single machine only: a
-// scenario declaring nodes owns its platforms (each node builds its own
-// ground-truth power model and estimator model), and Run rejects the
-// overrides.
+// Options configures a scenario run. The zero value selects the
+// process-wide max-rate calibration and no trace output. Every machine —
+// the legacy single one on the default platform, or each declared node on
+// its own — builds the ground-truth power model and the synthetic linear
+// estimator model (DefaultModel) for its platform.
 type Options struct {
-	Plat  *hmp.Platform      // default hmp.Default()
-	Power sim.PowerModel     // machine power model; default power.DefaultGroundTruth
-	Model *power.LinearModel // manager estimator model; default DefaultModel
-
 	// MaxRate resolves a benchmark's maximum achievable heartbeat rate for
 	// fractional targets. Nil selects the GTS calibration of gts.Calibration,
 	// run once per process for each (board content, bench, threads). A
@@ -91,11 +84,10 @@ type Options struct {
 	// Deprecated: has no effect; NextWake has one implementation.
 	WakeScan bool
 
-	// Workers shards node advancement between fleet decision points across
-	// this many goroutines (fleet.SetWorkers). Any width produces
-	// byte-identical results; values above 1 are ignored when PerTick is
-	// set, because property checkers are shared closures the engine must
-	// not invoke concurrently.
+	// Workers once sharded node advancement across goroutines. It is kept
+	// so existing callers still compile.
+	//
+	// Deprecated: has no effect; nodes advance sequentially.
 	Workers int
 
 	// TraceDecisions forces decision tracing on, exactly as if the
@@ -236,9 +228,9 @@ type Result struct {
 }
 
 // DefaultModel returns the synthetic linear power model handed to the
-// managers' estimators when Options.Model is nil — the same fixture the
-// repository's golden-digest tests use (power.SyntheticLinearModel), so
-// event-free scenario runs are bit-identical to the direct-run path.
+// managers' estimators — the same fixture the repository's golden-digest
+// tests use (power.SyntheticLinearModel), so event-free scenario runs are
+// bit-identical to the direct-run path.
 func DefaultModel(plat *hmp.Platform) *power.LinearModel {
 	return power.SyntheticLinearModel(plat)
 }
@@ -427,14 +419,7 @@ type engine struct {
 // or a fleet.
 func Run(sc *Scenario, opts Options) (*Result, error) {
 	fleetMode := len(sc.Nodes) > 0
-	if fleetMode && (opts.Plat != nil || opts.Power != nil || opts.Model != nil) {
-		return nil, fmt.Errorf("scenario: multi-node scenarios own their platforms; Options.Plat/Power/Model must be nil")
-	}
-	plat := opts.Plat
-	if plat == nil {
-		plat = hmp.Default()
-	}
-	resolved, appSpecs, err := sc.resolveAndValidate(plat)
+	resolved, appSpecs, err := sc.resolveAndValidate()
 	if err != nil {
 		return nil, err
 	}
@@ -477,9 +462,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	e.fl.SetLockstep(opts.Lockstep)
 	if opts.NoSteady {
 		e.fl.SetSteady(false)
-	}
-	if opts.Workers > 1 && opts.PerTick == nil {
-		e.fl.SetWorkers(opts.Workers)
 	}
 	var fcfg *fault.Config
 	if sc.Faults != nil {
@@ -600,15 +582,8 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 // order (governor, observers, MP-HARS manager) the thermal subsystem
 // documents.
 func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
-	pm := e.opts.Power
-	if pm == nil {
-		pm = power.DefaultGroundTruth(rn.plat)
-	}
-	model := e.opts.Model
-	if model == nil {
-		model = DefaultModel(rn.plat)
-	}
-	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: pm})
+	model := DefaultModel(rn.plat)
+	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: power.DefaultGroundTruth(rn.plat)})
 	nr := &nodeRun{rn: rn, m: sn.Machine, model: model}
 
 	switch rn.manager {
@@ -1224,11 +1199,11 @@ func (e *engine) traceFault(nr *nodeRun, what, detail string) {
 }
 
 // traceDecision emits one "d" decision trace line, written at decision time
-// from the scheduler's hook on the main goroutine — so the stream
-// interleaves with samples identically under the lockstep, event, and
-// sharded cores. Only installed when decision tracing is on, so untraced
-// runs stay byte-identical. Floats render with %x for exactness; empty
-// from/to render as "-" so the column count is fixed.
+// from the scheduler's hook — so the stream interleaves with samples
+// identically under the lockstep and event cores. Only installed when
+// decision tracing is on, so untraced runs stay byte-identical. Floats
+// render with %x for exactness; empty from/to render as "-" so the column
+// count is fixed.
 func (e *engine) traceDecision(r decision.Record) {
 	fmt.Fprintf(e.out, "d,%d,%d,%s,%s,%s,%s,%s,%x,%s\n",
 		r.T/sim.Millisecond, r.ID, r.Kind, r.App,

@@ -9,11 +9,9 @@ import (
 // TestEventCoreMatchesLockstep is the tentpole property suite for the
 // event-driven fleet core: generated multi-node scenarios — thermal loops,
 // SLO'd apps over a real checkpoint-cost model, seeded fault injection, all
-// four placement policies — replay through the lockstep reference core, the
-// event-driven core, and the event-driven core with sharded node
-// advancement, and every variant must produce byte-identical traces and
-// digests. The suite runs under -race in CI, which also exercises the
-// worker-sharded path for data races.
+// four placement policies — replay through the lockstep reference core and
+// the event-driven core, and both must produce byte-identical traces and
+// digests. The suite runs under -race in CI.
 func TestEventCoreMatchesLockstep(t *testing.T) {
 	policies := []string{"least-loaded", "big-first", "coolest", "slo-aware"}
 	// A fixed calibration rate keeps the suite fast (no per-run max-rate
@@ -42,36 +40,29 @@ func TestEventCoreMatchesLockstep(t *testing.T) {
 			sc.Apps[i].SLO = &SLOSpec{TargetHPS: 20, SlackMS: 150}
 		}
 
-		run := func(lockstep bool, workers int) (string, uint64) {
+		run := func(lockstep bool) (string, uint64) {
 			var buf bytes.Buffer
 			res, err := Run(sc, Options{
 				Trace:    &buf,
 				MaxRate:  maxRate,
 				Strict:   true,
 				Lockstep: lockstep,
-				Workers:  workers,
 			})
 			if err != nil {
-				t.Fatalf("seed %d (%s, lockstep=%v workers=%d): %v",
-					seed, placement, lockstep, workers, err)
+				t.Fatalf("seed %d (%s, lockstep=%v): %v", seed, placement, lockstep, err)
 			}
 			return buf.String(), res.TraceDigest
 		}
 
-		refTrace, refDigest := run(true, 1)
-		for _, v := range []struct {
-			name    string
-			workers int
-		}{{"event", 1}, {"event-sharded", 4}} {
-			trace, digest := run(false, v.workers)
-			if digest != refDigest {
-				t.Errorf("seed %d (%s): %s digest %016x != lockstep %016x",
-					seed, placement, v.name, digest, refDigest)
-			}
-			if trace != refTrace {
-				t.Errorf("seed %d (%s): %s trace diverged from lockstep (%s)",
-					seed, placement, v.name, firstDiff(trace, refTrace))
-			}
+		refTrace, refDigest := run(true)
+		trace, digest := run(false)
+		if digest != refDigest {
+			t.Errorf("seed %d (%s): event digest %016x != lockstep %016x",
+				seed, placement, digest, refDigest)
+		}
+		if trace != refTrace {
+			t.Errorf("seed %d (%s): event trace diverged from lockstep (%s)",
+				seed, placement, firstDiff(trace, refTrace))
 		}
 	}
 }

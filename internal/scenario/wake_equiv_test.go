@@ -9,9 +9,9 @@ import (
 // per-tick scan the lockstep core performs: generated multi-node scenarios
 // with thermal loops, SLO'd apps, checkpointing, and seeded fault injection
 // replay through the lockstep reference (which ticks the scheduler every
-// tick and so never consults NextWake) and through the event-driven and
-// worker-sharded cores (which sleep until NextWake), and every variant must
-// produce byte-identical traces and digests. A wake computed too late skips
+// tick and so never consults NextWake) and through the event-driven core
+// (which sleeps until NextWake), and both must produce byte-identical
+// traces and digests. A wake computed too late skips
 // a scheduler decision, one computed too early is harmless, so any
 // divergence points at NextWake. The suite runs under -race in CI.
 func TestWakeIndexMatchesScan(t *testing.T) {
@@ -48,22 +48,14 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 		}
 
 		refTrace, refDigest := run("lockstep", Options{Lockstep: true})
-		for _, v := range []struct {
-			name string
-			opts Options
-		}{
-			{"event", Options{}},
-			{"event-sharded", Options{Workers: 4}},
-		} {
-			trace, digest := run(v.name, v.opts)
-			if digest != refDigest {
-				t.Errorf("seed %d (%s): %s digest %016x != reference %016x",
-					seed, placement, v.name, digest, refDigest)
-			}
-			if trace != refTrace {
-				t.Errorf("seed %d (%s): %s trace diverged (%s)",
-					seed, placement, v.name, firstDiff(trace, refTrace))
-			}
+		trace, digest := run("event", Options{})
+		if digest != refDigest {
+			t.Errorf("seed %d (%s): event digest %016x != reference %016x",
+				seed, placement, digest, refDigest)
+		}
+		if trace != refTrace {
+			t.Errorf("seed %d (%s): event trace diverged (%s)",
+				seed, placement, firstDiff(trace, refTrace))
 		}
 	}
 }

@@ -32,7 +32,7 @@ func (m *Machine) replayEnergy(steps int64) {
 }
 
 // jumpCacheWays is the JumpCache associativity: enough that the handful of
-// distinct machine shapes a worker sweeps per barrier (busy-adjacent, a few
+// distinct machine shapes a fleet sweeps per barrier (busy-adjacent, a few
 // platform variants) coexist without evicting each other.
 const jumpCacheWays = 4
 
@@ -60,9 +60,9 @@ type jumpEntry struct {
 // bit-identical power states — the common case in a large
 // mostly-idle fleet, where every quiescent node evolves identically — need
 // the O(steps) addition loop run only once; every other machine replays the
-// memoized result, bit-for-bit. A cache is single-goroutine state: sharded
-// fleet advancement gives each worker its own (hits only affect wall-clock,
-// never results, so per-worker caching costs nothing in determinism).
+// memoized result, bit-for-bit. A cache is single-goroutine state; hits
+// only affect wall-clock, never results. A fleet keeps one for all its
+// nodes.
 type JumpCache struct {
 	ents [jumpCacheWays]jumpEntry
 	next int // round-robin eviction cursor
