@@ -525,6 +525,8 @@ func writeJSONCounterfactual(w io.Writer, sc *scenario.Scenario, cf *scenario.Co
 		BaselineNodeMigrations: cf.BaselineNodeMigrations,
 		RegretSLOMisses:        rm,
 		RegretEnergyJ:          re,
+		// Non-nil, so a decision with no alternative prints [] and not null.
+		Alternatives: make([]cfAlternativeSummary, 0, len(cf.Alternatives)),
 	}
 	for _, a := range cf.Alternatives {
 		out.Alternatives = append(out.Alternatives, cfAlternativeSummary{

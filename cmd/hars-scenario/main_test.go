@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -77,6 +78,25 @@ func TestCounterfactualJSONGolden(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
 	checkGolden(t, "counterfactual.json.golden", stdout)
+}
+
+// TestCounterfactualJSONNoAlternatives pins the JSON shape for a decision
+// with no alternative candidate (decision 1 of the generated fleet, a
+// pinned admission): an empty list, never null.
+func TestCounterfactualJSONNoAlternatives(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-counterfactual", "1", "-summary", "json")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var out struct {
+		Alternatives *[]json.RawMessage `json:"alternatives"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Alternatives == nil || len(*out.Alternatives) != 0 {
+		t.Fatalf("alternatives is not an empty list:\n%s", stdout)
+	}
 }
 
 // TestUsageErrors pins exit status 2 for command lines the command refuses

@@ -13,7 +13,6 @@ package heartbeat
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is a timestamp in microseconds, matching the simulator's clock.
@@ -61,11 +60,12 @@ type Record struct {
 
 // Monitor is the heartbeat registry for one application.
 //
-// Monitor is safe for concurrent use; within the simulator all calls happen
-// from the single simulation goroutine, but library users embedding a live
-// actuator may beat from many goroutines.
+// Monitor is not safe for concurrent use: within the simulator every call
+// happens on the one simulation goroutine, which reads the latest record
+// and count on every control step, so the monitor takes no lock.
+// live.Controller, whose heartbeats arrive from many goroutines, serializes
+// its calls itself.
 type Monitor struct {
-	mu     sync.Mutex
 	name   string
 	window int
 	target Target
@@ -91,8 +91,6 @@ func NewMonitor(name string, window int) *Monitor {
 // Checkpoint snapshots use it so a restored incarnation's rate history
 // diverges from the donor's from the snapshot point on.
 func (m *Monitor) Clone() *Monitor {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c := &Monitor{name: m.name, window: m.window, target: m.target}
 	c.times = append(c.times, m.times...)
 	c.records = append(c.records, m.records...)
@@ -107,22 +105,16 @@ func (m *Monitor) Window() int { return m.window }
 
 // SetTarget registers the application's performance target.
 func (m *Monitor) SetTarget(t Target) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.target = t
 }
 
 // Target returns the registered performance target.
 func (m *Monitor) Target() Target {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.target
 }
 
 // Beat registers a heartbeat at the given timestamp and returns its record.
 func (m *Monitor) Beat(now Time) Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	idx := int64(len(m.times))
 	m.times = append(m.times, now)
 	r := Record{Index: idx, Time: now}
@@ -151,15 +143,11 @@ func rateBetween(t0, t1 Time, beats int64) float64 {
 
 // Count returns the number of beats recorded so far.
 func (m *Monitor) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return int64(len(m.times))
 }
 
 // Latest returns the most recent record, or ok=false if none exists.
 func (m *Monitor) Latest() (Record, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.records) == 0 {
 		return Record{}, false
 	}
@@ -168,8 +156,6 @@ func (m *Monitor) Latest() (Record, bool) {
 
 // At returns the record at the given beat index.
 func (m *Monitor) At(index int64) (Record, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if index < 0 || index >= int64(len(m.records)) {
 		return Record{}, false
 	}
@@ -178,16 +164,12 @@ func (m *Monitor) At(index int64) (Record, bool) {
 
 // Records returns a copy of all records.
 func (m *Monitor) Records() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]Record(nil), m.records...)
 }
 
 // RateOver returns the average rate (beats/s) over the time span
 // [from, to): the number of beats with from ≤ t < to divided by the span.
 func (m *Monitor) RateOver(from, to Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if to <= from {
 		return 0
 	}

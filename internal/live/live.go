@@ -95,10 +95,14 @@ type Config struct {
 // Controller is the live HARS runtime manager.
 type Controller struct {
 	cfg   Config
-	mon   *heartbeat.Monitor
 	est   core.Estimators
 	act   Actuator
 	epoch time.Time
+
+	// monMu guards mon, which takes no lock of its own. It is not mu, so
+	// beats never wait on a search or an actuation.
+	monMu sync.Mutex
+	mon   *heartbeat.Monitor
 
 	mu        sync.Mutex
 	state     hmp.State
@@ -158,14 +162,20 @@ func NewController(cfg Config, act Actuator) (*Controller, error) {
 }
 
 // Beat registers one completed unit of work. Safe for concurrent use from
-// any goroutine.
+// any goroutine: it serializes on the monitor lock, which Rate and Poll
+// hold only to read the latest record. The clock is read under that lock,
+// so concurrent beats are logged in time order.
 func (c *Controller) Beat() {
+	c.monMu.Lock()
+	defer c.monMu.Unlock()
 	c.mon.Beat(c.cfg.Clock.Now().Sub(c.epoch).Microseconds())
 }
 
 // Rate returns the current window heartbeat rate (beats/second).
 func (c *Controller) Rate() float64 {
+	c.monMu.Lock()
 	rec, ok := c.mon.Latest()
+	c.monMu.Unlock()
 	if !ok {
 		return 0
 	}
@@ -190,7 +200,9 @@ func (c *Controller) Searches() int {
 // arrived and the window rate is outside the band, search the neighbourhood
 // and actuate the winner. It reports whether the configuration changed.
 func (c *Controller) Poll() bool {
+	c.monMu.Lock()
 	rec, ok := c.mon.Latest()
+	c.monMu.Unlock()
 	if !ok {
 		return false
 	}

@@ -13,8 +13,17 @@ package sim
 // core is at least two threads heavier than the lightest. Decisions are
 // tick-for-tick identical to the historical full-scan implementation (see
 // the equivalence tests in the repository root).
+//
+// Everything Place reads changes only with the machine's placement epoch,
+// so a call that leaves the epoch unchanged (it moved nothing) is recorded,
+// and the next call at the same epoch returns at once. Under MP-HARS's
+// per-application cpusets the run-queue spread stays above one while every
+// partition sits level; the memo spares those ticks the sweep.
 type MaskBalancer struct {
 	counts []int // scratch: in-mask runnable threads per core
+	// idleOn and idleAt are the machine and epoch of the last no-op Place.
+	idleOn *Machine
+	idleAt uint64
 }
 
 // NewMaskBalancer returns a MaskBalancer.
@@ -44,12 +53,13 @@ func (b *MaskBalancer) Prime(nc int) {
 // lighter than its own refutes settledness. Certification runs this once
 // per window, not per tick, so the O(runnable × cores) scan amortizes
 // across every tick the window jumps. With nothing runnable every count is
-// zero and both passes are vacuous, so an idle machine is settled outright.
+// zero and both passes are vacuous, so an idle machine is settled outright,
+// and so is one whose placement epoch matches Place's last no-op call.
 func (b *MaskBalancer) Settled(m *Machine) bool {
 	if m.misplaced != 0 {
 		return false
 	}
-	if len(m.runnable) == 0 {
+	if len(m.runnable) == 0 || (b.idleOn == m && b.idleAt == m.placeEpoch) {
 		return true
 	}
 	online := m.online
@@ -116,6 +126,17 @@ func (b *MaskBalancer) Settled(m *Machine) bool {
 
 // Place implements Placer.
 func (b *MaskBalancer) Place(m *Machine) {
+	epoch := m.placeEpoch
+	if b.idleOn == m && b.idleAt == epoch {
+		return
+	}
+	b.place(m)
+	if m.placeEpoch == epoch {
+		b.idleOn, b.idleAt = m, epoch
+	}
+}
+
+func (b *MaskBalancer) place(m *Machine) {
 	nc := len(m.cores)
 	online := m.online
 	// The all-online fast paths below skip the per-core hotplug tests in

@@ -154,6 +154,10 @@ type Machine struct {
 	// per-thread mask checks are skipped entirely.
 	misplaced int
 
+	// placeEpoch counts changes to what the mask balancer reads: runnable
+	// membership, thread placement and affinity, and the online mask.
+	placeEpoch uint64
+
 	execTick int64 // index of the tick execute is processing (or last processed)
 
 	tickSec float64 // Seconds(cfg.TickLen), hoisted for integratePower
@@ -371,6 +375,7 @@ func (m *Machine) SetCoreOnline(cpu int, online bool) {
 	if m.tracer != nil {
 		m.emit(Event{T: m.now, Kind: EvHotplug, CPU: cpu, Online: online})
 	}
+	m.placeEpoch++
 	if online {
 		m.online = m.online.Set(cpu)
 		return
@@ -401,6 +406,7 @@ func (m *Machine) Fail() {
 		m.emit(Event{T: m.now, Kind: EvNodeDown})
 	}
 	m.failed = true
+	m.placeEpoch++
 	for _, p := range m.procs {
 		m.Kill(p)
 	}
@@ -432,6 +438,7 @@ func (m *Machine) Heal() {
 		return
 	}
 	m.failed = false
+	m.placeEpoch++
 	m.online = m.preFailOnline
 	m.preFailOnline = 0
 	if m.tracer != nil {
@@ -454,6 +461,7 @@ func (m *Machine) evict(t *Thread) {
 		m.cores[t.core].runLen--
 	}
 	t.core = -1
+	m.placeEpoch++
 	m.updateMisplaced(t)
 }
 
@@ -634,6 +642,7 @@ func (m *Machine) reconcileThread(t *Thread) {
 			m.runnable = removeID(m.runnable, int32(t.Global))
 		}
 		t.inRunnable = runnable
+		m.placeEpoch++
 	}
 	queued := runnable && t.core >= 0
 	if queued != t.queued {
@@ -935,6 +944,7 @@ func (m *Machine) Migrate(t *Thread, cpu int) {
 		m.cores[t.core].runLen--
 	}
 	t.core = cpu
+	m.placeEpoch++
 	if !t.blocked {
 		c := &m.cores[cpu]
 		c.runLen++

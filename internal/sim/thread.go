@@ -182,7 +182,11 @@ func (p *Process) SetAffinity(local int, mask hmp.CPUMask) {
 		panic(fmt.Sprintf("sim: SetAffinity(%s/%d): empty mask", p.Name, local))
 	}
 	t := p.Threads[local]
+	if t.affinity == mask {
+		return
+	}
 	t.affinity = mask
+	p.m.placeEpoch++
 	p.m.updateMisplaced(t)
 }
 
@@ -190,8 +194,7 @@ func (p *Process) SetAffinity(local int, mask hmp.CPUMask) {
 func (p *Process) AffinityAll() {
 	all := hmp.AllCPUs(p.m.plat)
 	for i := range p.Threads {
-		p.Threads[i].affinity = all
-		p.m.updateMisplaced(p.Threads[i])
+		p.SetAffinity(i, all)
 	}
 }
 
